@@ -58,7 +58,7 @@ def test_runtime_per_design_point(benchmark):
 def test_parallel_sweep_and_persistent_cache(benchmark):
     """The exploration runtime on (a slice of) the Fig. 12 grid.
 
-    Three runs of the same sweep spec:
+    Four runs of the same sweep spec:
 
     1. serial, cold cache — the baseline;
     2. parallel (2 workers), cold cache — must be bit-identical to the
@@ -67,7 +67,11 @@ def test_parallel_sweep_and_persistent_cache(benchmark):
        speedup assert is skipped there — the identity assert is not);
     3. serial, warm from the *persisted* cache of run 1 — must be
        faster than run 1, produce identical totals, and run zero new
-       LOMA searches.
+       LOMA searches;
+    4. service backend (2 shards), cold cache — must be bit-identical
+       to the serial run; its time (shard start-up and shutdown
+       included, as the pool's is) sits beside the process pool's, so
+       the two parallel backends are compared on the same slice.
     """
     tiles = ((1, 1), (4, 4), (4, 72), (16, 18), (60, 72), (240, 270))
     spec = SweepSpec.tile_grid(
@@ -97,11 +101,18 @@ def test_parallel_sweep_and_persistent_cache(benchmark):
         warm_results = warm.run(spec)
         timings["serial_warm"] = time.perf_counter() - t0
 
-        return timings, serial_results, parallel_results, warm_results, warm_cache
+        t0 = time.perf_counter()
+        with Executor(
+            jobs=2, search_config=config, cache=MappingCache(), backend="service"
+        ) as service:
+            service_results = service.run(spec)
+        timings["service_cold"] = time.perf_counter() - t0
 
-    timings, serial_results, parallel_results, warm_results, warm_cache = (
-        benchmark.pedantic(run, rounds=1, iterations=1)
-    )
+        return (timings, serial_results, parallel_results, warm_results,
+                warm_cache, service_results)
+
+    (timings, serial_results, parallel_results, warm_results, warm_cache,
+     service_results) = benchmark.pedantic(run, rounds=1, iterations=1)
 
     # CPUs actually usable by this process (cgroup/affinity aware), not
     # the host count: in a 1-CPU container two workers only time-slice.
@@ -115,13 +126,16 @@ def test_parallel_sweep_and_persistent_cache(benchmark):
         f"  parallel cold:  {timings['parallel_cold']:7.2f}s (2 workers)",
         f"  serial warm:    {timings['serial_warm']:7.2f}s (disk cache, "
         f"{warm_cache.stats['hits']} hits / {warm_cache.stats['misses']} misses)",
+        f"  service cold:   {timings['service_cold']:7.2f}s (2 shards)",
     ]
     write_output("runtime_parallel.txt", "\n".join(lines))
 
-    # Parallel output is bit-identical to serial, in the same order.
-    for s, p in zip(serial_results, parallel_results):
-        assert s.job.strategy == p.job.strategy
-        assert s.result.total == p.result.total
+    # Both parallel backends are bit-identical to serial, in the same order.
+    for other in (parallel_results, service_results):
+        assert len(other) == len(serial_results)
+        for s, p in zip(serial_results, other):
+            assert s.job.strategy == p.job.strategy
+            assert s.result.total == p.result.total
 
     # With real parallel hardware, 2 workers beat the serial sweep.
     if cpus > 1:

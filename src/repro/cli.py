@@ -91,8 +91,9 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import obs
 from .analysis import (
@@ -109,7 +110,7 @@ from .analysis import (
     trace_report,
 )
 from .check.cli import run_check
-from .core import DepthFirstEngine, DFStrategy, OverlapMode
+from .core import OverlapMode
 from .core.optimizer import PAPER_TILE_GRID_X, PAPER_TILE_GRID_Y
 from .dse import (
     DesignSpace,
@@ -147,11 +148,8 @@ ACCELERATOR_NAMES = sorted(ACCELERATOR_FACTORIES) + ["depfin_like"]
 # Shared argument validators and option groups
 # ----------------------------------------------------------------------
 def _int_list(text: str) -> tuple[int, ...]:
-    """Parse ``"4"`` or ``"4,16,60"`` into a tuple of ints."""
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an int list: {text!r}")
+    """Parse ``"4"`` or ``"4,16,60"`` into a tuple of positive ints."""
+    values = tuple(_positive_int(part) for part in text.split(",") if part.strip())
     if not values:
         raise argparse.ArgumentTypeError(f"empty int list: {text!r}")
     return values
@@ -164,6 +162,14 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an int: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _population(text: str) -> int:
+    """A genetic population: tournament selection needs two designs."""
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"population must be >= 2, got {value}")
     return value
 
 
@@ -369,7 +375,7 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--lpf-limit",
-        type=int,
+        type=_positive_int,
         default=6,
         help="LOMA loop-prime-factor limit (speed/quality knob; paper: 8)",
     )
@@ -433,115 +439,116 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_cache(args) -> "MappingCache | CacheClient":
-    """The run's mapping cache: a live server client when
-    ``--cache-server`` is given, a (possibly disk-backed) local cache
-    otherwise.  The server owns its own persistence, so combining the
-    two is rejected."""
-    if args.cache_server is not None:
-        if args.cache is not None:
+@contextmanager
+def _run_scope(
+    command: str, argv: Sequence[str], args, accelerators, **manifest
+) -> "Iterator[tuple[Executor, dict]]":
+    """The one lifecycle of an evaluating run (``repro`` and ``repro dse``).
+
+    On entry: open the run's ledger record (skipped when the ledger is
+    off; an unwritable ledger directory degrades to a stderr warning,
+    because a broken ledger must never take the run down), turn on
+    ``--trace``/``--metrics`` telemetry, resolve the mapping cache and
+    yield ``(executor, outcome)``; the body fills ``outcome`` with the
+    record's result fields.
+
+    On exit: close the executor; on success save (``--cache``) or report
+    (``--cache-server``, which owns its own persistence) the cache, and
+    close a server connection on every exit; seal the record as ``ok``,
+    ``crashed`` or ``interrupted`` — before the telemetry reset, or a
+    telemetry-on record would lose its metrics dump; then write the
+    telemetry artifacts and reset the layer (so in-process callers —
+    tests drive the CLI via ``main()`` — start clean).
+    """
+    handle = None
+    if not args.no_ledger and ledger.ledger_enabled():
+        manifest.update(
+            accelerators=list(accelerators),
+            accelerator_fingerprints={
+                name: get_accelerator(name).fingerprint() for name in accelerators
+            },
+            seed=args.seed,
+            engine=args.engine,
+            backend=args.backend,
+            jobs=args.jobs,
+            budget=args.budget,
+            lpf_limit=args.lpf_limit,
+            cache=args.cache,
+            cache_server=args.cache_server,
+            trace=args.trace,
+            metrics=args.metrics,
+        )
+        try:
+            handle = ledger.begin_run(
+                command, list(argv), manifest, directory=args.runs_dir
+            )
+        except OSError as exc:
+            print(f"warning: run ledger disabled: {exc}", file=sys.stderr)
+    outcome: dict = {}
+    status, error, cache = "ok", None, None
+    try:
+        if args.trace is not None or args.metrics is not None:
+            obs.enable(trace=args.trace, sample=args.trace_sample)
+        if args.cache_server is None:
+            cache = MappingCache(args.cache) if args.cache else MappingCache()
+        elif args.cache is not None:
             raise SystemExit(
                 "--cache and --cache-server are mutually exclusive: the "
                 "server owns the persistent file (run 'repro serve "
                 "--cache FILE')"
             )
-        try:
-            return CacheClient(args.cache_server)
-        except (ValueError, CacheServerError) as exc:
-            raise SystemExit(str(exc))
-    return MappingCache(args.cache) if args.cache else MappingCache()
-
-
-def _backend(args) -> "str | None":
-    return None if args.backend == "auto" else args.backend
-
-
-def _finish_cache(args, cache) -> None:
-    """Post-run cache reporting/persistence: save a local file cache,
-    or report (and leave persistence to) the live server."""
-    if args.cache_server is not None:
-        print(
-            f"cache server {args.cache_server}: "
-            f"{cache.server_stats()} (this run: {cache.hits} hits / "
-            f"{cache.misses} misses)"
-        )
-        cache.close()
-    elif args.cache:
-        cache.save()
-        print(f"mapping cache: {cache.stats} -> {args.cache}")
-
-
-def _setup_obs(args) -> None:
-    """Turn telemetry on when ``--trace``/``--metrics`` asks for it
-    (metrics-only mode when only ``--metrics`` is given)."""
-    if args.trace is None and args.metrics is None:
-        return
-    obs.enable(trace=args.trace, sample=args.trace_sample)
-
-
-def _finish_obs(args) -> None:
-    """Write the telemetry artifacts and reset the layer (so in-process
-    callers — tests drive the CLI via ``main()`` — start clean)."""
-    if not obs.enabled:
-        return
-    if args.metrics is not None:
-        registry = obs.metrics()
-        if str(args.metrics).endswith(".json"):
-            registry.write_json(args.metrics)
         else:
-            registry.write_prometheus(args.metrics)
-        print(f"wrote {args.metrics} ({len(registry)} series)")
-    tracer = obs.tracer()
-    if tracer is not None:
-        written, dropped = tracer.spans_written, tracer.spans_dropped
-        obs.disable()  # closes the trace file before we report it
-        note = f" ({dropped} sampled out)" if dropped else ""
-        print(f"wrote {args.trace} ({written} span(s){note})")
-    obs.reset()
-
-
-def _begin_ledger(command: str, argv, args, **manifest) -> "ledger.RunHandle | None":
-    """Open the run's ledger record (``None`` when the ledger is off or
-    its directory is unwritable — a broken ledger must never take the
-    run down, so the failure degrades to a stderr warning)."""
-    if getattr(args, "no_ledger", False) or not ledger.ledger_enabled():
-        return None
-    manifest.update(
-        seed=args.seed,
-        engine=args.engine,
-        backend=args.backend,
-        jobs=args.jobs,
-        budget=args.budget,
-        lpf_limit=args.lpf_limit,
-        cache=args.cache,
-        cache_server=args.cache_server,
-        trace=args.trace,
-        metrics=args.metrics,
-    )
-    try:
-        return ledger.begin_run(
-            command, list(argv), manifest, directory=args.runs_dir
-        )
-    except OSError as exc:
-        print(f"warning: run ledger disabled: {exc}", file=sys.stderr)
-        return None
-
-
-def _ledger_finish(
-    handle, status: str = "ok", error: "str | None" = None, result=None
-) -> None:
-    if handle is None:
-        return
-    try:
-        handle.finish(status, error=error, result=result)
-    except OSError as exc:
-        print(f"warning: run ledger write failed: {exc}", file=sys.stderr)
-
-
-def _ledger_crash(handle, exc: BaseException) -> None:
-    """Seal the record for a run that is about to re-raise."""
-    status = "interrupted" if isinstance(exc, KeyboardInterrupt) else "crashed"
-    _ledger_finish(handle, status, error=f"{type(exc).__name__}: {exc}")
+            try:
+                cache = CacheClient(args.cache_server)
+            except (ValueError, CacheServerError) as exc:
+                raise SystemExit(str(exc))
+        with Executor(
+            jobs=args.jobs,
+            search_config=SearchConfig(
+                lpf_limit=args.lpf_limit, budget=args.budget, engine=args.engine
+            ),
+            cache=cache,
+            backend=None if args.backend == "auto" else args.backend,
+        ) as executor:
+            yield executor, outcome
+        if isinstance(cache, CacheClient):
+            print(
+                f"cache server {args.cache_server}: "
+                f"{cache.server_stats()} (this run: {cache.hits} hits / "
+                f"{cache.misses} misses)"
+            )
+        elif args.cache:
+            cache.save()
+            print(f"mapping cache: {cache.stats} -> {args.cache}")
+    except BaseException as exc:
+        status = "interrupted" if isinstance(exc, KeyboardInterrupt) else "crashed"
+        error = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        if isinstance(cache, CacheClient):
+            cache.close()
+        if handle is not None:
+            try:
+                handle.finish(
+                    status, error=error, result=outcome if status == "ok" else None
+                )
+            except OSError as exc:
+                print(f"warning: run ledger write failed: {exc}", file=sys.stderr)
+        if obs.enabled:
+            if args.metrics is not None:
+                registry = obs.metrics()
+                if str(args.metrics).endswith(".json"):
+                    registry.write_json(args.metrics)
+                else:
+                    registry.write_prometheus(args.metrics)
+                print(f"wrote {args.metrics} ({len(registry)} series)")
+            tracer = obs.tracer()
+            if tracer is not None:
+                written, dropped = tracer.spans_written, tracer.spans_dropped
+                obs.disable()  # closes the trace file before we report it
+                note = f" ({dropped} sampled out)" if dropped else ""
+                print(f"wrote {args.trace} ({written} span(s){note})")
+            obs.reset()
 
 
 # ----------------------------------------------------------------------
@@ -648,49 +655,36 @@ def run_evaluate(argv: Sequence[str]) -> int:
     accel = get_accelerator(args.accelerator)
     workload = get_workload(args.workload)
     mode = _resolve_mode(args.mode)
-    config = SearchConfig(
-        lpf_limit=args.lpf_limit, budget=args.budget, engine=args.engine
-    )
-    handle = _begin_ledger(
+    tiles = [(tx, ty) for tx in args.tilex for ty in args.tiley]
+    with _run_scope(
         "evaluate",
         argv,
         args,
+        [args.accelerator],
         workload=args.workload,
-        accelerators=[args.accelerator],
-        accelerator_fingerprints={args.accelerator: accel.fingerprint()},
         mode=mode.value,
-        tiles=len(args.tilex) * len(args.tiley),
-    )
-    _setup_obs(args)
-    try:
-        cache = _resolve_cache(args)
-
-        tiles = [(tx, ty) for tx in args.tilex for ty in args.tiley]
+        tiles=len(tiles),
+    ) as (executor, outcome):
         with obs.span(
             "repro.evaluate",
             accelerator=args.accelerator,
             workload=args.workload,
             tiles=len(tiles),
         ):
-            if len(tiles) == 1 and args.backend in ("auto", "serial"):
-                engine = DepthFirstEngine(accel, config, cache=cache)
-                result = engine.evaluate(
-                    workload,
-                    DFStrategy(
-                        tile_x=tiles[0][0], tile_y=tiles[0][1], mode=mode
-                    ),
-                )
+            results = executor.run(
+                SweepSpec.tile_grid(accel, workload, tiles, (mode,))
+            )
+            # One point on the default backend prints the artifact's
+            # single-schedule report; anything else is a sweep.
+            if len(results) == 1 and args.backend in ("auto", "serial"):
+                result = results[0].result
                 _print_schedule(result)
                 summary = result_summary(accel, result)
+                outcome.update(
+                    energy_mj=summary["energy_mj"],
+                    latency_cycles=summary["latency_cycles"],
+                )
             else:
-                spec = SweepSpec.tile_grid(accel, workload, tiles, (mode,))
-                with Executor(
-                    jobs=args.jobs,
-                    search_config=config,
-                    cache=cache,
-                    backend=_backend(args),
-                ) as executor:
-                    results = executor.run(spec)
                 for r in results:
                     print(
                         f"{r.strategy.describe():28s} "
@@ -704,30 +698,13 @@ def run_evaluate(argv: Sequence[str]) -> int:
                     "points": [result_summary(accel, r.result) for r in results],
                     "best_strategy": best.strategy.describe(),
                 }
-
-            _finish_cache(args, cache)
+                outcome.update(
+                    points=len(results), best_strategy=summary["best_strategy"]
+                )
         if args.output:
             with open(args.output, "w") as f:
                 json.dump(summary, f, indent=2)
             print(f"wrote {args.output}")
-    except BaseException as exc:
-        _ledger_crash(handle, exc)
-        _finish_obs(args)
-        raise
-    if "points" in summary:
-        outcome = {
-            "points": len(summary["points"]),
-            "best_strategy": summary["best_strategy"],
-        }
-    else:
-        outcome = {
-            "energy_mj": summary["energy_mj"],
-            "latency_cycles": summary["latency_cycles"],
-        }
-    # The record must be sealed before _finish_obs resets the registry,
-    # or a telemetry-on run would lose its metrics dump.
-    _ledger_finish(handle, "ok", result=outcome)
-    _finish_obs(args)
     return 0
 
 
@@ -818,7 +795,7 @@ def build_dse_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--population",
-        type=_positive_int,
+        type=_population,
         default=16,
         help="genetic: designs per generation",
     )
@@ -1006,30 +983,20 @@ def run_dse(argv: Sequence[str]) -> int:
         except ValueError as exc:
             raise SystemExit(str(exc))
 
-    config = SearchConfig(
-        lpf_limit=args.lpf_limit, budget=args.budget, engine=args.engine
-    )
     workload_label = (
         workload.describe() if isinstance(workload, Scenario) else workload
     )
-    handle = _begin_ledger(
+    with _run_scope(
         "dse",
         argv,
         args,
+        accelerators,
         workload=workload_label,
-        accelerators=list(accelerators),
-        accelerator_fingerprints={
-            name: get_accelerator(name).fingerprint()
-            for name in accelerators
-        },
         strategy=args.strategy,
         objectives=list(args.objectives),
         max_evals=args.max_evals,
         checkpoint=args.checkpoint,
-    )
-    _setup_obs(args)
-    try:
-        cache = _resolve_cache(args)
+    ) as (executor, outcome):
         strategy = create_strategy(
             args.strategy,
             population=args.population,
@@ -1037,14 +1004,7 @@ def run_dse(argv: Sequence[str]) -> int:
             samples=args.samples,
         )
         try:
-            with obs.span(
-                "repro.dse", strategy=args.strategy, seed=args.seed
-            ), Executor(
-                jobs=args.jobs,
-                search_config=config,
-                cache=cache,
-                backend=_backend(args),
-            ) as executor:
+            with obs.span("repro.dse", strategy=args.strategy, seed=args.seed):
                 runner = DSERunner(
                     space,
                     workload,
@@ -1122,24 +1082,13 @@ def run_dse(argv: Sequence[str]) -> int:
             with open(args.output, "w") as f:
                 json.dump(summary, f, indent=2)
             print(f"wrote {args.output}")
-        _finish_cache(args, cache)
-    except BaseException as exc:
-        _ledger_crash(handle, exc)
-        _finish_obs(args)
-        raise
-    last = result.generations[-1] if result.generations else None
-    # Seal the record before _finish_obs resets the metrics registry.
-    _ledger_finish(
-        handle,
-        "ok",
-        result={
-            "evaluations": result.total_evaluations,
-            "frontier_size": len(result.frontier),
-            "hypervolume": last.hypervolume if last else None,
-            "epsilon": last.epsilon if last else None,
-        },
-    )
-    _finish_obs(args)
+        last = result.generations[-1] if result.generations else None
+        outcome.update(
+            evaluations=result.total_evaluations,
+            frontier_size=len(result.frontier),
+            hypervolume=last.hypervolume if last else None,
+            epsilon=last.epsilon if last else None,
+        )
     return 0
 
 

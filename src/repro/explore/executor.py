@@ -206,8 +206,6 @@ class Executor:
         ``jobs`` shards share one live cache server — hits propagate
         *between* workers mid-run, and the service (with its warm
         shards) persists across ``run()`` calls until :meth:`close`.
-    max_pending:
-        Service backend only: in-flight bound (backpressure).
 
     Every backend returns bit-identical results for the same job list.
     """
@@ -219,7 +217,6 @@ class Executor:
         policy=None,
         cache: MappingCache | None = None,
         backend: str | None = None,
-        max_pending: int | None = None,
     ) -> None:
         if jobs is None or jobs == 0:
             jobs = os.cpu_count() or 1
@@ -234,9 +231,7 @@ class Executor:
         self.policy = policy
         self.cache = cache if cache is not None else MappingCache()
         self.backend = backend
-        self.max_pending = max_pending
         self._service = None
-        self._service_client = None
 
     # ------------------------------------------------------------------
     def run(self, spec: "SweepSpec | Iterable[EvalJob]") -> list[EvalResult]:
@@ -268,30 +263,18 @@ class Executor:
     # ------------------------------------------------------------------
     def _run_service(self, jobs: Sequence[EvalJob]) -> list[EvalResult]:
         if self._service is None:
-            from ..serve.cache_server import CacheClient
-            from ..serve.service import EvalService, ServiceClient
+            from ..serve.service import EvalService
 
-            if isinstance(self.cache, CacheClient):
-                # The cache already lives behind a server: shards talk
-                # to it directly instead of starting an embedded one.
-                service = EvalService(
-                    shards=self.jobs,
-                    search_config=self.search_config,
-                    policy=self.policy,
-                    cache_address=self.cache.address,
-                    max_pending=self.max_pending,
-                )
-            else:
-                service = EvalService(
-                    shards=self.jobs,
-                    search_config=self.search_config,
-                    policy=self.policy,
-                    cache=self.cache,
-                    max_pending=self.max_pending,
-                )
-            self._service = service.start()
-            self._service_client = ServiceClient(self._service)
-        return self._service_client.run(jobs)
+            self._service = EvalService(
+                shards=self.jobs,
+                search_config=self.search_config,
+                policy=self.policy,
+                cache=self.cache,
+            ).start()
+        return [
+            EvalResult(job=job, result=result, index=i)
+            for i, (job, result) in enumerate(zip(jobs, self._service.map(jobs)))
+        ]
 
     @property
     def service(self):
@@ -303,7 +286,6 @@ class Executor:
         """Stop the service backend's shards and embedded cache server
         (idempotent; other backends hold no long-lived state)."""
         service, self._service = self._service, None
-        self._service_client = None
         if service is not None:
             service.stop()
 

@@ -70,6 +70,8 @@ class SearchConfig:
     NON_SEMANTIC = frozenset({"engine"})
 
     def __post_init__(self) -> None:
+        if self.lpf_limit < 1:
+            raise ValueError(f"lpf_limit must be >= 1, got {self.lpf_limit}")
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown search engine {self.engine!r}; "

@@ -10,10 +10,10 @@ that ``repro runs list|show|diff|gc|regress`` read back.
 
 Crash capture is the load-bearing design point: the record is written
 *at begin* with ``status: "running"`` and atomically rewritten at
-finish, so a run that raises (finished by the CLI's exception handler
-as ``crashed``) or is SIGKILLed outright (left as ``running``) still
-leaves a ledger entry.  Writes are tmp-file + ``os.replace`` so readers
-never see a half-written record.
+finish, so a run that raises (finished by the CLI's run scope as
+``crashed``, or ``interrupted`` on Ctrl-C) or is SIGKILLed outright
+(left as ``running``) still leaves a ledger entry.  Writes are
+tmp-file + ``os.replace`` so readers never see a half-written record.
 
 Knobs: ``REPRO_RUNS_DIR`` relocates the ledger directory (tests and CI
 point it at a tmp dir), ``REPRO_LEDGER=0`` disables it, and the CLI
@@ -90,11 +90,6 @@ class RunHandle:
         self._write()
 
     # ------------------------------------------------------------------
-    def set(self, **fields: Any) -> None:
-        """Attach manifest fields discovered after begin (not flushed
-        until :meth:`finish` — cheap to call anywhere)."""
-        self.record.update(fields)
-
     def add_convergence(self, point: Mapping[str, Any]) -> None:
         """Append one per-generation convergence point (hv/epsilon) and
         flush, so a crashed search keeps its partial series."""

@@ -12,10 +12,9 @@ at batch edges; this subsystem turns it into a long-lived service:
   unchanged.
 * :class:`EvalService` — an async job queue over N worker shards with
   in-flight dedup (identical jobs coalesce into one evaluation) and
-  optional backpressure (:class:`ServiceOverloaded`).
-* :class:`ServiceClient` — the executor-facing adapter;
-  ``Executor(jobs=N, backend="service")`` runs every batch through it
-  with results bit-identical to serial.
+  optional backpressure (:class:`ServiceOverloaded`);
+  ``Executor(jobs=N, backend="service")`` runs every batch through its
+  ``map()`` with results bit-identical to serial.
 
 Quick start::
 
@@ -37,7 +36,6 @@ from .cache_server import (
 )
 from .service import (
     EvalService,
-    ServiceClient,
     ServiceError,
     ServiceFuture,
     ServiceOverloaded,
@@ -50,7 +48,6 @@ __all__ = [
     "CacheServer",
     "CacheServerError",
     "EvalService",
-    "ServiceClient",
     "ServiceError",
     "ServiceFuture",
     "ServiceOverloaded",

@@ -19,13 +19,13 @@ tear down), :class:`EvalService` is a *long-lived* one:
 * **shared cache** — every worker's mapping cache is a
   :class:`~repro.serve.cache_server.CacheClient`, wired either to an
   embedded :class:`CacheServer` fronting the caller's own
-  :class:`MappingCache` (hits land in it live — no harvest step) or to
-  an external server (``repro serve``), which is the hook for sharding
-  across machines.
+  :class:`MappingCache` (hits land in it live — no harvest step) or,
+  when the caller's cache is itself a ``CacheClient``, to that external
+  server (``repro serve``), which is the hook for sharding across
+  machines.
 
-:class:`ServiceClient` adapts the service to the executor contract:
-``run(jobs)`` returns results in job order, bit-identical to a serial
-run of the same jobs.
+``map(jobs)`` returns results in job order, bit-identical to a serial
+run of the same jobs; ``Executor(backend="service")`` is built on it.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from .. import obs
 from ..mapping.cache import MappingCache
-from .cache_server import CacheClient, CacheServer, parse_address
+from .cache_server import CacheClient, CacheServer
 
 if TYPE_CHECKING:
-    from ..explore.executor import EvalResult
     from ..explore.spec import EvalJob
     from ..mapping.loma import SearchConfig
 
@@ -118,21 +117,20 @@ def _service_worker_main(
     result_queue,
     search_config,
     policy,
-    cache_address,
+    server_address,
     obs_enabled: bool = False,
 ) -> None:
     """Pull (job_id, job, submit_time) items until the ``None``
-    sentinel; evaluate each against a runner whose cache is a live
-    server client.  With telemetry on, each result carries the shard's
-    queue-wait and execution time (monotonic clock deltas — comparable
-    across processes on the platforms that matter) so the parent's
-    registry sees per-shard load without a separate harvest step."""
+    sentinel; evaluate each against a runner whose cache is a client of
+    the cache server at ``server_address``.  With telemetry on, each
+    result carries the shard's queue-wait and execution time (monotonic
+    clock deltas — comparable across processes on the platforms that
+    matter) so the parent's registry sees per-shard load without a
+    separate harvest step."""
     from ..explore.executor import _JobRunner
 
     obs.worker_begin(obs_enabled)
-    cache = (
-        CacheClient(cache_address) if cache_address is not None else MappingCache()
-    )
+    cache = CacheClient(server_address)
     runner = _JobRunner(search_config, policy, cache)
     try:
         while True:
@@ -167,8 +165,7 @@ def _service_worker_main(
             )
             result_queue.put((job_id, result, None, timings))
     finally:
-        if isinstance(cache, CacheClient):
-            cache.close()
+        cache.close()
 
 
 class EvalService:
@@ -184,12 +181,10 @@ class EvalService:
         Engine knobs, shared by every evaluation (as in ``Executor``).
     cache:
         The :class:`MappingCache` the embedded server fronts; hits and
-        new entries are live in this handle during the run.  Ignored
-        when ``cache_address`` is given.
-    cache_address:
-        ``"host:port"`` of an external ``repro serve`` cache server;
-        workers then share *that* table (multi-machine mode) and no
-        embedded server is started.
+        new entries are live in this handle during the run.  A
+        :class:`CacheClient` of an external ``repro serve`` cache server
+        instead makes the workers share *that* table (multi-machine
+        mode), and no embedded server is started.
     max_pending:
         Bound on in-flight jobs (backpressure); ``None`` = unbounded.
     """
@@ -199,8 +194,7 @@ class EvalService:
         shards: int = 1,
         search_config: "SearchConfig | None" = None,
         policy=None,
-        cache: MappingCache | None = None,
-        cache_address: "str | tuple[str, int] | None" = None,
+        cache: "MappingCache | CacheClient | None" = None,
         max_pending: int | None = None,
     ) -> None:
         if shards < 0:
@@ -211,9 +205,6 @@ class EvalService:
         self.search_config = search_config
         self.policy = policy
         self.cache = cache if cache is not None else MappingCache()
-        self.cache_address = (
-            parse_address(cache_address) if cache_address is not None else None
-        )
         self.max_pending = max_pending
         # Lifecycle handles (<owner>): start()/stop() are called by the
         # thread that owns the service — the embedded server, workers,
@@ -247,11 +238,11 @@ class EvalService:
     def start(self) -> "EvalService":
         if self.running:
             return self
-        if self.cache_address is None:
+        if isinstance(self.cache, CacheClient):
+            address = self.cache.address
+        else:
             self._server = CacheServer(cache=self.cache).start()
             address = self._server.address
-        else:
-            address = self.cache_address
         self._stopping.clear()
         if self.max_pending is not None:
             # Fresh slots every start: a stop() with jobs in flight
@@ -330,9 +321,9 @@ class EvalService:
     def server_address(self) -> "tuple[str, int] | None":
         """Address of the cache server the shards share (embedded or
         external); ``None`` before :meth:`start` in embedded mode."""
-        if self._server is not None:
-            return self._server.address
-        return self.cache_address
+        if isinstance(self.cache, CacheClient):
+            return self.cache.address
+        return None if self._server is None else self._server.address
 
     def __enter__(self) -> "EvalService":
         return self.start()
@@ -519,22 +510,3 @@ class EvalService:
             data["cache"] = dict(self._server.cache.stats)
             data["cache"]["requests"] = dict(self._server.requests)
         return data
-
-
-class ServiceClient:
-    """Adapts an :class:`EvalService` to the executor result contract:
-    ``run(jobs)`` returns one :class:`EvalResult` per job, in job order,
-    identical to what a serial executor would produce."""
-
-    def __init__(self, service: EvalService) -> None:
-        self.service = service
-
-    def run(self, jobs: "Sequence[EvalJob]") -> "list[EvalResult]":
-        from ..explore.executor import EvalResult
-
-        futures = [self.service.submit(job) for job in jobs]
-        results = self.service.gather(futures)
-        return [
-            EvalResult(job=job, result=result, index=index)
-            for index, (job, result) in enumerate(zip(jobs, results))
-        ]

@@ -18,6 +18,7 @@ from repro import (
     get_workload,
 )
 from repro.mapping import SearchConfig
+from repro.workloads.zoo import WORKLOAD_FACTORIES
 
 CONFIG = SearchConfig(lpf_limit=6, budget=150)
 
@@ -71,16 +72,21 @@ class TestCaseStudy1Shapes:
         assert energies[1] < energies[0]
         assert energies[1] < energies[2]
 
-    def test_lbl_corner_mode_independent(self, engine, fsrcnn):
-        """Fig. 12: the (960,540) corner is LBL; modes cannot differ."""
-        e = {
-            mode: engine.evaluate(
-                fsrcnn, DFStrategy(tile_x=960, tile_y=540, mode=mode)
-            ).energy_pj
-            for mode in OverlapMode
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_FACTORIES))
+    def test_lbl_corner_mode_independent(self, engine, workload):
+        """Fig. 12: a tile covering the whole feature map is LBL (the
+        (960,540) corner on fsrcnn), so no overlap is stored or
+        recomputed and the modes cannot differ at all."""
+        wl = get_workload(workload)
+        lbl = max(max(layer.ox, layer.oy) for layer in wl.layers())
+        totals = {
+            (r.energy_pj, r.latency_cycles, r.mac_count)
+            for r in (
+                engine.evaluate(wl, DFStrategy(tile_x=lbl, tile_y=lbl, mode=mode))
+                for mode in OverlapMode
+            )
         }
-        values = list(e.values())
-        assert max(values) / min(values) < 1.001
+        assert len(totals) == 1, totals
 
 
 class TestCaseStudy2Shapes:

@@ -19,6 +19,11 @@ def accel():
 
 
 class TestSearch:
+    @pytest.mark.parametrize("lpf_limit", [0, -3])
+    def test_lpf_limit_below_one_rejected(self, lpf_limit):
+        with pytest.raises(ValueError, match="lpf_limit must be >= 1"):
+            SearchConfig(lpf_limit=lpf_limit)
+
     def test_finds_a_mapping(self, accel):
         engine = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=50))
         result = engine.search(layer(), accel)

@@ -106,12 +106,6 @@ class TestLifecycle:
         c = begin(runs)
         assert len({a.record["id"], b.record["id"], c.record["id"]}) == 3
 
-    def test_set_attaches_fields(self, runs):
-        handle = begin(runs)
-        handle.set(note="late manifest data")
-        handle.finish()
-        assert json.loads(handle.path.read_text())["note"] == "late manifest data"
-
 
 class TestEnvKnobs:
     def test_runs_dir_resolution_order(self, tmp_path, monkeypatch):

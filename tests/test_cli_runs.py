@@ -7,7 +7,9 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.cli import _loss_fraction, main
+from repro.explore import Executor
 from repro.obs import ledger
 
 EVAL_ARGS = [
@@ -140,6 +142,69 @@ class TestLedgerFromCLI:
         out = capsys.readouterr().out
         assert "[crashed]" in out
         assert "error:" in out
+
+    @pytest.mark.parametrize(
+        "exc, status",
+        [
+            (SystemExit("stopped mid-run"), "crashed"),
+            (KeyboardInterrupt("ctrl-c mid-run"), "interrupted"),
+        ],
+        ids=["system-exit", "keyboard-interrupt"],
+    )
+    @pytest.mark.parametrize("argv", [EVAL_ARGS, DSE_ARGS], ids=["evaluate", "dse"])
+    def test_failed_run_seals_record_and_writes_telemetry(
+        self, tmp_path, monkeypatch, capsys, argv, exc, status
+    ):
+        """A run that dies inside the executor still seals its record
+        (right status and error, metrics dump embedded), writes both
+        telemetry files, and leaves no telemetry or ledger state
+        behind."""
+        real_run = Executor.run
+
+        def run_then_fail(self, spec):
+            real_run(self, spec)
+            raise exc
+
+        monkeypatch.setattr(Executor, "run", run_then_fail)
+        runs = tmp_path / "runs"
+        prom, trace = tmp_path / "m.prom", tmp_path / "t.jsonl"
+        with pytest.raises(type(exc)):
+            main(argv + ["--runs-dir", str(runs),
+                         "--metrics", str(prom), "--trace", str(trace)])
+        (record,) = ledger.list_runs(runs)
+        assert record["status"] == status
+        assert record["error"] == f"{type(exc).__name__}: {exc}"
+        names = {m["name"] for m in record["metrics"]["metrics"]}
+        assert "executor_jobs_total" in names
+        assert prom.read_text() and trace.read_text()
+        assert not obs.enabled
+        assert ledger.active_run() is None
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            EVAL_ARGS + ["--lpf-limit", "0"],
+            EVAL_ARGS + ["--tilex", "0"],
+            EVAL_ARGS + ["--tiley", "14,-1"],
+            DSE_ARGS + ["--lpf-limit", "0"],
+            DSE_ARGS + ["--tilex", "0,14"],
+            DSE_ARGS + ["--strategy", "genetic", "--population", "1"],
+        ],
+        ids=[
+            "evaluate-lpf", "evaluate-tilex", "evaluate-tiley",
+            "dse-lpf", "dse-tilex", "dse-population",
+        ],
+    )
+    def test_out_of_range_option_is_parse_error(self, tmp_path, capsys, argv):
+        """Out-of-range runtime options stop at the parser (usage error,
+        exit 2) before any ledger record exists."""
+        runs = tmp_path / "runs"
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--runs-dir", str(runs)])
+        assert info.value.code == 2
+        assert "must be >= " in capsys.readouterr().err
+        assert ledger.list_runs(runs) == []
 
     def test_telemetry_on_embeds_metrics_dump(self, tmp_path, capsys):
         runs = tmp_path / "runs"
