@@ -1,7 +1,7 @@
 """RACE0xx — guarded-by analysis for the shared-state classes.
 
 The serving layer (``CacheServer``, ``EvalService``) and the cache they
-front (``MappingCache``) are touched by handler threads, collector
+front (``MappingCache``) are touched by handler threads, snapshot
 threads and the foreground loop at once.  Their concurrency contract is
 documented *in the source* with trailing annotations on the ``__init__``
 assignment of every shared mutable attribute::

@@ -76,8 +76,8 @@ evaluation above):
 
 Evaluating subcommands also accept ``--backend service``: batches then
 run through a long-lived :class:`~repro.serve.service.EvalService`
-(async job queue, worker shards, in-flight dedup) whose shards share a
-live cache server — results stay bit-identical to serial.
+(worker shards on one shared job queue, in-batch dedup) whose shards
+share a live cache server — results stay bit-identical to serial.
 
 Results are printed and optionally written as JSON (the artifact wrote
 pickle files; JSON keeps them human-readable and diffable).

@@ -201,11 +201,13 @@ class Executor:
         writes the remote server's live table.
     backend:
         ``None`` (default) auto-selects: serial for ``jobs=1``, the
-        process pool otherwise.  ``"service"`` runs batches through a
-        long-lived :class:`~repro.serve.service.EvalService` whose
-        ``jobs`` shards share one live cache server — hits propagate
-        *between* workers mid-run, and the service (with its warm
-        shards) persists across ``run()`` calls until :meth:`close`.
+        process pool otherwise.  ``"service"`` runs each batch through
+        the synchronous ``map()`` of a long-lived
+        :class:`~repro.serve.service.EvalService` whose ``jobs`` shards
+        pull from one shared job queue and share one live cache server
+        — hits propagate *between* workers mid-run, and the service
+        (with its warm shards) persists across ``run()`` calls until
+        :meth:`close`.
 
     Every backend returns bit-identical results for the same job list.
     """

@@ -3,8 +3,9 @@
 The cache server already exposes everything a monitor needs — the
 ``stats`` op (table counters + live load) and the ``metrics`` op
 (Prometheus exposition of the server process, which for an embedded
-server includes its :class:`~repro.serve.service.EvalService` shard
-counters).  This module polls those two ops and renders the deltas
+server includes the per-shard counters its
+:class:`~repro.serve.service.EvalService` shards ship back with every
+result).  This module polls those two ops and renders the deltas
 between consecutive samples as rates: request throughput, evaluations
 per second, per-shard utilization.
 
@@ -76,7 +77,7 @@ def _shard_rows(
     curr: dict[str, Any], prev: dict[str, Any] | None
 ) -> list[tuple[str, float, float | None, float | None]]:
     """Per-shard (shard, jobs, jobs/s, busy fraction) rows from the
-    service counters an embedded :class:`EvalService` exports."""
+    counters an embedded :class:`EvalService`'s shards ship back."""
     jobs = _series_by_label(curr["values"], "service_jobs_total", "shard")
     if not jobs:
         return []

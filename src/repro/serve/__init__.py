@@ -1,5 +1,5 @@
-"""Evaluation service: a live shared-cache server and async sharded
-job execution on top of the exploration runtime.
+"""Evaluation service: a live shared-cache server and sharded job
+execution on top of the exploration runtime.
 
 The batch runtime (PR 1) shares mapping-cache hits only between runs or
 at batch edges; this subsystem turns it into a long-lived service:
@@ -10,11 +10,11 @@ at batch edges; this subsystem turns it into a long-lived service:
   a standalone server; ``--cache-server HOST:PORT`` points executors at
   it.  Periodic snapshots keep the persistent JSON cache format
   unchanged.
-* :class:`EvalService` — an async job queue over N worker shards with
-  in-flight dedup (identical jobs coalesce into one evaluation) and
-  optional backpressure (:class:`ServiceOverloaded`);
-  ``Executor(jobs=N, backend="service")`` runs every batch through its
-  ``map()`` with results bit-identical to serial.
+* :class:`EvalService` — N long-lived worker shards pulling from one
+  shared job queue; its synchronous ``map()`` evaluates each distinct
+  job of a batch once (duplicates share the result) and returns the
+  results in job order.  ``Executor(jobs=N, backend="service")`` runs
+  every batch through it, with results bit-identical to serial.
 
 Quick start::
 
@@ -34,13 +34,7 @@ from .cache_server import (
     format_address,
     parse_address,
 )
-from .service import (
-    EvalService,
-    ServiceError,
-    ServiceFuture,
-    ServiceOverloaded,
-    job_key,
-)
+from .service import EvalService, ServiceError, job_key
 
 __all__ = [
     "AUTH_TOKEN_ENV",
@@ -49,8 +43,6 @@ __all__ = [
     "CacheServerError",
     "EvalService",
     "ServiceError",
-    "ServiceFuture",
-    "ServiceOverloaded",
     "format_address",
     "job_key",
     "parse_address",

@@ -1,5 +1,5 @@
-"""EvalService tests: queueing, dedup/coalescing, backpressure, error
-propagation, and the executor's service backend."""
+"""EvalService tests: lifecycle, in-batch dedup, error propagation,
+shard death, and the executor's service backend."""
 
 import time
 
@@ -13,7 +13,6 @@ from repro.serve import (
     CacheServer,
     EvalService,
     ServiceError,
-    ServiceOverloaded,
     job_key,
 )
 
@@ -23,13 +22,20 @@ TILES = ((4, 4), (16, 16))
 MODES = (OverlapMode.FULLY_CACHED, OverlapMode.FULLY_RECOMPUTE)
 
 
-def tiny_job(tile: int = 8, tag: str = "") -> EvalJob:
+def tiny_job(tile: int = 8, tag: str = "", workload="fsrcnn") -> EvalJob:
     return EvalJob(
         accelerator="meta_proto_like_df",
-        workload="fsrcnn",
+        workload=workload,
         strategy=DFStrategy(tile_x=tile, tile_y=tile),
         tag=tag,
     )
+
+
+def wait_alive(worker) -> None:
+    for _ in range(100):
+        if worker.is_alive():
+            return
+        time.sleep(0.05)
 
 
 @pytest.fixture(scope="module")
@@ -70,12 +76,12 @@ class TestJobKey:
 
 
 class TestLifecycle:
-    def test_submit_before_start_raises(self):
+    def test_map_before_start_raises(self):
         with pytest.raises(RuntimeError, match="start"):
-            EvalService(shards=0).submit(tiny_job())
+            EvalService(shards=1).map([tiny_job()])
 
     def test_start_stop_idempotent(self):
-        service = EvalService(shards=0)
+        service = EvalService(shards=1)
         assert service.start() is service
         assert service.start() is service
         assert service.running
@@ -84,90 +90,39 @@ class TestLifecycle:
         assert not service.running
 
     def test_invalid_args_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            EvalService(shards=-1)
-        with pytest.raises(ValueError, match="max_pending"):
-            EvalService(max_pending=0)
+        for shards in (0, -1):
+            with pytest.raises(ValueError, match="shards"):
+                EvalService(shards=shards)
 
     def test_embedded_server_address_published(self):
-        with EvalService(shards=0) as service:
+        with EvalService(shards=1) as service:
             host, port = service.server_address
             assert port > 0
 
-    def test_stop_fails_leftover_futures(self):
-        """Stopping with jobs still queued must resolve their futures
-        (as errors), never leave a caller blocked forever."""
-        service = EvalService(shards=0).start()
-        future = service.submit(tiny_job())
-        service.stop()
-        with pytest.raises(ServiceError, match="service stopped"):
-            future.result(timeout=1.0)
 
-    def test_restart_regains_full_backpressure_capacity(self):
-        """Jobs in flight at stop() never release their slots, so a
-        restarted service must get a fresh semaphore — not inherit the
-        leak."""
-        service = EvalService(shards=0, max_pending=2)
-        for _ in range(2):
-            service.start()
-            service.submit(tiny_job(4))
-            service.submit(tiny_job(8))
-            with pytest.raises(ServiceOverloaded):
-                service.submit(tiny_job(16), block=False)
-            service.stop()
-
-
-class TestDedupAndBackpressure:
-    """shards=0 accepts jobs without evaluating them, so the queue's
-    dedup and backpressure behaviour is observable in isolation."""
-
-    def test_identical_inflight_jobs_coalesce(self):
-        with EvalService(shards=0) as service:
-            first = service.submit(tiny_job(tag="x"))
-            second = service.submit(tiny_job(tag="y"))
-            assert second is first
+class TestDedup:
+    def test_identical_jobs_coalesce(self, fast_config):
+        with EvalService(shards=2, search_config=fast_config) as service:
+            first, second = service.map([tiny_job(tag="x"), tiny_job(tag="y")])
             assert service.submitted == 1
             assert service.coalesced == 1
+        assert first.total == second.total
 
-    def test_distinct_jobs_do_not_coalesce(self):
-        with EvalService(shards=0) as service:
-            assert service.submit(tiny_job(4)) is not service.submit(tiny_job(8))
+    def test_distinct_jobs_do_not_coalesce(self, tiny, fast_config):
+        with EvalService(shards=2, search_config=fast_config) as service:
+            service.map([tiny_job(4, workload=tiny), tiny_job(16, workload=tiny)])
             assert service.submitted == 2
+            assert service.coalesced == 0
 
-    def test_nonblocking_submit_overload(self):
-        with EvalService(shards=0, max_pending=2) as service:
-            service.submit(tiny_job(4))
-            service.submit(tiny_job(8))
-            with pytest.raises(ServiceOverloaded, match="2 evaluations"):
-                service.submit(tiny_job(16), block=False)
-
-    def test_blocking_submit_times_out(self):
-        with EvalService(shards=0, max_pending=1) as service:
-            service.submit(tiny_job(4))
-            with pytest.raises(ServiceOverloaded):
-                service.submit(tiny_job(8), timeout=0.05)
-
-    def test_coalesced_submit_needs_no_slot(self):
-        with EvalService(shards=0, max_pending=1) as service:
-            first = service.submit(tiny_job(4))
-            # The bound is saturated, but an identical job rides along.
-            assert service.submit(tiny_job(4), block=False) is first
-
-    def test_pending_future_timeout(self):
-        with EvalService(shards=0) as service:
-            future = service.submit(tiny_job())
-            assert not future.done()
-            with pytest.raises(TimeoutError, match="still pending"):
-                future.result(timeout=0.05)
-
-    def test_stats_shape(self):
-        with EvalService(shards=0, max_pending=5) as service:
-            service.submit(tiny_job())
+    def test_stats_shape(self, tiny, fast_config):
+        job = tiny_job(4, workload=tiny)
+        with EvalService(shards=1, search_config=fast_config) as service:
+            service.map([job, job])
             stats = service.stats()
         assert stats["submitted"] == 1
-        assert stats["in_flight"] == 1
-        assert stats["max_pending"] == 5
-        assert "cache" in stats
+        assert stats["coalesced"] == 1
+        assert stats["completed"] == 1
+        assert stats["cache"]["misses"] >= stats["cache"]["size"] > 0
 
 
 class TestEvaluation:
@@ -180,70 +135,80 @@ class TestEvaluation:
         for served, serial in zip(results, serial_results):
             assert served.total == serial.result.total
 
-    def test_errors_propagate_and_service_survives(self, fast_config):
+    def test_errors_propagate_and_service_survives(self, tiny, fast_config):
+        """A failed job raises only once its batch is back, and its
+        batch-mate's result never leaks into the next call."""
         bad = EvalJob(
             accelerator="no_such_accelerator",
             workload="fsrcnn",
             strategy=DFStrategy(tile_x=4, tile_y=4),
         )
+        good = tiny_job(4, workload=tiny)
+        other = tiny_job(16, workload=tiny)
+        expected = Executor(jobs=1, search_config=fast_config).run([other])
         with EvalService(shards=1, search_config=fast_config) as service:
             with pytest.raises(ServiceError, match="shard 0"):
-                service.submit(bad).result(timeout=60)
+                service.map([bad, good])
             assert service.errors == 1
             # The shard is still alive and evaluating.
-            good = service.submit(tiny_job())
-            assert good.result(timeout=600) is not None
-            assert service.stats()["completed"] == 1
+            (result,) = service.map([other])
+            assert result.total == expected[0].result.total
+            assert service.errors == 1
+            assert service.stats()["completed"] == 2
+
+
+    def test_late_result_of_earlier_batch_is_dropped(self, tiny, fast_config):
+        """A result that arrives after its batch was given up on carries
+        an old job id; the next map() skips it."""
+        first, second = tiny_job(4, workload=tiny), tiny_job(16, workload=tiny)
+        expected = Executor(jobs=1, search_config=fast_config).run([second])
+        with EvalService(shards=1, search_config=fast_config) as service:
+            (late,) = service.map([first])
+            service._result_queue.put((0, late, None, None))
+            (result,) = service.map([second])
+        assert result.total == expected[0].result.total
 
 
 class TestShardDeath:
     def test_dead_shard_surfaces_as_error_not_hang(self, fast_config):
-        """gather() watches shard liveness: a killed worker turns into
-        a ServiceError for the waiter instead of an eternal block."""
+        """map() watches shard liveness: a killed worker turns into a
+        ServiceError for the caller instead of an eternal block."""
         with EvalService(shards=1, search_config=fast_config) as service:
             # Let the shard come up, then kill it out from under us.
             worker = service._workers[0]
-            for _ in range(100):
-                if worker.is_alive():
-                    break
-                time.sleep(0.05)
+            wait_alive(worker)
             worker.terminate()
             worker.join(timeout=10)
-            future = service.submit(tiny_job())
+            assert not worker.is_alive()
             with pytest.raises(ServiceError, match="died"):
-                service.gather([future])
+                service.map([tiny_job()])
 
-    def test_death_report_names_shard_and_inflight_jobs(self, fast_config):
+    def test_death_report_names_shard_and_unfinished_jobs(self, fast_config):
         """The crash log identifies the casualty and its work: the error
-        names the shard id and the in-flight job keys queued on it, and
+        names the shard index, its process and the unfinished job, and
         the death is counted exactly once."""
         obs.enable()  # metrics-only: the death should also be counted
         try:
             with EvalService(shards=1, search_config=fast_config) as service:
                 worker = service._workers[0]
-                for _ in range(100):
-                    if worker.is_alive():
-                        break
-                    time.sleep(0.05)
+                wait_alive(worker)
                 worker.terminate()
                 worker.join(timeout=10)
+                assert not worker.is_alive()
                 job = tiny_job()
-                future = service.submit(job)
                 with pytest.raises(ServiceError) as err:
-                    service.gather([future])
+                    service.map([job])
                 message = str(err.value)
                 assert "shard 0" in message
                 assert worker.name in message
                 assert job.describe() in message
                 assert service.shard_deaths == 1
                 assert service.stats()["shard_deaths"] == 1
-                # A later gather over the same corpse does not recount.
+                # A later map over the same corpse does not recount.
                 with pytest.raises(ServiceError):
-                    service.gather([service.submit(tiny_job(tile=16))])
+                    service.map([tiny_job(tile=16)])
                 assert service.shard_deaths == 1
-            assert (
-                obs.metrics().value("service_shard_deaths_total") == 1
-            )
+            assert obs.metrics().value("service_shard_deaths_total") == 1
         finally:
             obs.reset()
 
