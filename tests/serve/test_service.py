@@ -99,6 +99,18 @@ class TestLifecycle:
             host, port = service.server_address
             assert port > 0
 
+    def test_surface_is_map_only(self):
+        """map() is the one way in: the async surface is gone."""
+        import repro.serve as serve
+
+        for name in ("submit", "gather"):
+            assert not hasattr(EvalService, name)
+        for name in ("ServiceFuture", "ServiceOverloaded"):
+            assert name not in serve.__all__
+            assert not hasattr(serve, name)
+        with pytest.raises(TypeError):
+            EvalService(shards=1, max_pending=4)
+
 
 class TestDedup:
     def test_identical_jobs_coalesce(self, fast_config):
@@ -156,6 +168,44 @@ class TestEvaluation:
             assert service.errors == 1
             assert service.stats()["completed"] == 2
 
+    def test_first_failure_in_job_order_after_whole_batch(self, tiny, fast_config):
+        """With two failures in one batch, map() waits for every job and
+        then raises the failure that comes first in job order."""
+        def bad(accelerator):
+            return EvalJob(
+                accelerator=accelerator,
+                workload="fsrcnn",
+                strategy=DFStrategy(tile_x=4, tile_y=4),
+            )
+
+        jobs = [bad("no_such_first"), tiny_job(4, workload=tiny), bad("no_such_last")]
+        with EvalService(shards=1, search_config=fast_config) as service:
+            with pytest.raises(ServiceError, match="no_such_first"):
+                service.map(jobs)
+            assert service.errors == 2
+            assert service.completed == 1
+
+    def test_empty_batch_submits_nothing(self):
+        with EvalService(shards=1) as service:
+            assert service.map([]) == []
+            assert service.submitted == 0
+            assert service.coalesced == 0
+
+    def test_shard_ships_each_telemetry_delta_once(self, tiny, fast_config):
+        """A shard clears its registry after every harvest: one shard
+        evaluating three jobs over two batches ships three job counts,
+        not a running total with each result."""
+        obs.enable()  # metrics-only
+        try:
+            with EvalService(shards=1, search_config=fast_config) as service:
+                service.map([tiny_job(4, workload=tiny), tiny_job(16, workload=tiny)])
+                service.map([tiny_job(8, workload=tiny)])
+            registry = obs.metrics()
+            assert registry.value("service_jobs_total", shard=0) == 3
+            for name in ("service_queue_wait_seconds", "service_exec_seconds"):
+                assert registry.value(name, shard=0)["count"] == 3
+        finally:
+            obs.reset()
 
     def test_late_result_of_earlier_batch_is_dropped(self, tiny, fast_config):
         """A result that arrives after its batch was given up on carries
