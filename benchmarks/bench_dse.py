@@ -205,8 +205,8 @@ def test_dse_partition_genes_smoke(benchmark):
     * a **degenerate** run whose partition axis is constrained to the
       weights-fit rule reproduces the fuse-depth-only frontier
       bit-identically;
-    * the **full cut-subset space** yields bit-identical frontiers on
-      the serial, process and service backends;
+    * the **full cut-subset space** yields bit-identical frontiers
+      serially and in parallel (2 service shards);
     * the searched partition frontier **covers** (dominates or ties)
       the fuse-depth-only frontier — whether the domination is strict
       (the fuse-only frontier cannot cover it back) is reported in the
@@ -231,10 +231,8 @@ def test_dse_partition_genes_smoke(benchmark):
         **grid, partitions=PartitionAxis(segments=segments)
     )
 
-    def run(space, jobs=1, backend=None):
-        with Executor(
-            jobs=jobs, search_config=config, cache=cache, backend=backend
-        ) as executor:
+    def run(space, jobs=1):
+        with Executor(jobs=jobs, search_config=config, cache=cache) as executor:
             runner = DSERunner(
                 space,
                 "mccnn",
@@ -260,15 +258,13 @@ def test_dse_partition_genes_smoke(benchmark):
         (e.point, e.values) for e in fuse.frontier.entries
     ]
 
-    # Backend identity: serial == process == service, bit for bit.
+    # Backend identity: serial == parallel, bit for bit.
     serial = run(partition_space)
     parallel = run(partition_space, jobs=2)
-    service = run(partition_space, jobs=2, backend="service")
-    for other in (parallel, service):
-        assert [(e.point, e.values) for e in serial.frontier.entries] == [
-            (e.point, e.values) for e in other.frontier.entries
-        ]
-        assert serial.evaluations == other.evaluations
+    assert [(e.point, e.values) for e in serial.frontier.entries] == [
+        (e.point, e.values) for e in parallel.frontier.entries
+    ]
+    assert serial.evaluations == parallel.evaluations
 
     # Coverage: the partition space contains every auto point, so its
     # exhaustive frontier can never be worse than the fuse-depth one.

@@ -58,20 +58,20 @@ def test_runtime_per_design_point(benchmark):
 def test_parallel_sweep_and_persistent_cache(benchmark):
     """The exploration runtime on (a slice of) the Fig. 12 grid.
 
-    Four runs of the same sweep spec:
+    Three runs of the same sweep spec:
 
     1. serial, cold cache — the baseline;
-    2. parallel (2 workers), cold cache — must be bit-identical to the
-       serial run, and faster whenever more than one CPU is available
-       (on a single-core machine process parallelism cannot win, so the
-       speedup assert is skipped there — the identity assert is not);
+    2. parallel (2 service shards), cold cache, shard start-up and
+       shutdown included — must be bit-identical to the serial run, and
+       faster whenever more than one CPU is available (on a single-core
+       machine process parallelism cannot win, so the speedup assert is
+       skipped there — the identity assert is not);
     3. serial, warm from the *persisted* cache of run 1 — must be
        faster than run 1, produce identical totals, and run zero new
-       LOMA searches;
-    4. service backend (2 shards), cold cache — must be bit-identical
-       to the serial run; its time (shard start-up and shutdown
-       included, as the pool's is) sits beside the process pool's, so
-       the two parallel backends are compared on the same slice.
+       LOMA searches.
+
+    Each cold run reports its searches (cache misses): shards search
+    against their own caches, so the parallel run may repeat some.
     """
     tiles = ((1, 1), (4, 4), (4, 72), (16, 18), (60, 72), (240, 270))
     spec = SweepSpec.tile_grid(
@@ -88,9 +88,11 @@ def test_parallel_sweep_and_persistent_cache(benchmark):
         serial_results = serial.run(spec)
         timings["serial_cold"] = time.perf_counter() - t0
 
-        parallel = Executor(jobs=2, search_config=config, cache=MappingCache())
         t0 = time.perf_counter()
-        parallel_results = parallel.run(spec)
+        with Executor(
+            jobs=2, search_config=config, cache=MappingCache()
+        ) as parallel:
+            parallel_results = parallel.run(spec)
         timings["parallel_cold"] = time.perf_counter() - t0
 
         cache_path = OUTPUT_DIR / "runtime_mapping_cache.json"
@@ -101,18 +103,11 @@ def test_parallel_sweep_and_persistent_cache(benchmark):
         warm_results = warm.run(spec)
         timings["serial_warm"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        with Executor(
-            jobs=2, search_config=config, cache=MappingCache(), backend="service"
-        ) as service:
-            service_results = service.run(spec)
-        timings["service_cold"] = time.perf_counter() - t0
+        return (timings, serial, serial_results, parallel, parallel_results,
+                warm_results, warm_cache)
 
-        return (timings, serial_results, parallel_results, warm_results,
-                warm_cache, service_results)
-
-    (timings, serial_results, parallel_results, warm_results, warm_cache,
-     service_results) = benchmark.pedantic(run, rounds=1, iterations=1)
+    (timings, serial, serial_results, parallel, parallel_results, warm_results,
+     warm_cache) = benchmark.pedantic(run, rounds=1, iterations=1)
 
     # CPUs actually usable by this process (cgroup/affinity aware), not
     # the host count: in a 1-CPU container two workers only time-slice.
@@ -122,20 +117,20 @@ def test_parallel_sweep_and_persistent_cache(benchmark):
         cpus = os.cpu_count() or 1
     lines = [
         f"{len(spec)}-point Fig. 12 sweep slice ({cpus} CPU(s)):",
-        f"  serial cold:    {timings['serial_cold']:7.2f}s",
-        f"  parallel cold:  {timings['parallel_cold']:7.2f}s (2 workers)",
+        f"  serial cold:    {timings['serial_cold']:7.2f}s "
+        f"({serial.cache.misses} searches)",
+        f"  parallel cold:  {timings['parallel_cold']:7.2f}s (2 shards, "
+        f"{parallel.cache.misses} searches)",
         f"  serial warm:    {timings['serial_warm']:7.2f}s (disk cache, "
         f"{warm_cache.stats['hits']} hits / {warm_cache.stats['misses']} misses)",
-        f"  service cold:   {timings['service_cold']:7.2f}s (2 shards)",
     ]
     write_output("runtime_parallel.txt", "\n".join(lines))
 
-    # Both parallel backends are bit-identical to serial, in the same order.
-    for other in (parallel_results, service_results):
-        assert len(other) == len(serial_results)
-        for s, p in zip(serial_results, other):
-            assert s.job.strategy == p.job.strategy
-            assert s.result.total == p.result.total
+    # The parallel run is bit-identical to serial, in the same order.
+    assert len(parallel_results) == len(serial_results)
+    for s, p in zip(serial_results, parallel_results):
+        assert s.job.strategy == p.job.strategy
+        assert s.result.total == p.result.total
 
     # With real parallel hardware, 2 workers beat the serial sweep.
     if cpus > 1:

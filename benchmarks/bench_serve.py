@@ -1,5 +1,5 @@
-"""Evaluation-service smoke: a sweep through the live shared-cache
-service is bit-identical to serial, in-process and against a real
+"""Evaluation-service smoke: a sweep through the evaluation service is
+bit-identical to serial, in-process and with its shards sharing a real
 standalone ``repro serve`` server in another OS process.
 
 This is the CI gate for the serve subsystem: if the service backend,
@@ -33,7 +33,7 @@ def totals(results) -> list:
 
 def test_service_backend_identical_to_serial(benchmark):
     """In-process smoke: Executor(backend='service') == serial, with
-    the embedded cache server filling the executor's cache live."""
+    the shards' new entries merged back into the executor's cache."""
     spec = fsrcnn_spec()
     serial = Executor(jobs=1, search_config=CONFIG).run(spec)
 
@@ -48,7 +48,7 @@ def test_service_backend_identical_to_serial(benchmark):
 
     served, stats, harvested = benchmark.pedantic(run, rounds=1, iterations=1)
     assert totals(served) == totals(serial)
-    assert harvested > 0  # live harvest: no explicit merge step ran
+    assert harvested > 0  # map merged the shards' entries back
     write_output(
         "serve_smoke.txt",
         "service == serial on "

@@ -74,10 +74,12 @@ evaluation above):
     run --strict`` is the CI gate; ``check baseline`` regenerates the
     baseline; ``check rules`` lists the codes.
 
-Evaluating subcommands also accept ``--backend service``: batches then
-run through a long-lived :class:`~repro.serve.service.EvalService`
-(worker shards on one shared job queue, in-batch dedup) whose shards
-share a live cache server — results stay bit-identical to serial.
+Evaluating subcommands take ``--jobs N``: with N > 1, batches run
+through a long-lived :class:`~repro.serve.service.EvalService` (N
+worker shards on one shared job queue, in-batch dedup, shard-local
+mapping caches merged back into the run's cache) — results stay
+bit-identical to serial.  With ``--cache-server`` the shards share that
+server's live table instead.
 
 Results are printed and optionally written as JSON (the artifact wrote
 pickle files; JSON keeps them human-readable and diffable).
@@ -348,7 +350,8 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes for sweeps (1 = in-process serial)",
+        help="worker processes for sweeps: 1 = in-process serial, N > 1 "
+        "= an N-shard evaluation service",
     )
     parser.add_argument(
         "--cache",
@@ -363,15 +366,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         help="live mapping-cache server ('repro serve') to read/write "
         "instead of a local cache; the server owns persistence, so "
         "this excludes --cache",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "serial", "process", "service"),
-        default="auto",
-        help="evaluation backend: 'auto' picks serial/process from "
-        "--jobs; 'service' runs batches through a long-lived sharded "
-        "evaluation service whose workers share cache hits live "
-        "(results are identical on every backend)",
     )
     parser.add_argument(
         "--lpf-limit",
@@ -469,7 +463,6 @@ def _run_scope(
             },
             seed=args.seed,
             engine=args.engine,
-            backend=args.backend,
             jobs=args.jobs,
             budget=args.budget,
             lpf_limit=args.lpf_limit,
@@ -508,7 +501,6 @@ def _run_scope(
                 lpf_limit=args.lpf_limit, budget=args.budget, engine=args.engine
             ),
             cache=cache,
-            backend=None if args.backend == "auto" else args.backend,
         ) as executor:
             yield executor, outcome
         if isinstance(cache, CacheClient):
@@ -674,9 +666,9 @@ def run_evaluate(argv: Sequence[str]) -> int:
             results = executor.run(
                 SweepSpec.tile_grid(accel, workload, tiles, (mode,))
             )
-            # One point on the default backend prints the artifact's
-            # single-schedule report; anything else is a sweep.
-            if len(results) == 1 and args.backend in ("auto", "serial"):
+            # One point prints the artifact's single-schedule report;
+            # anything else is a sweep.
+            if len(results) == 1:
                 result = results[0].result
                 _print_schedule(result)
                 summary = result_summary(accel, result)
@@ -1601,7 +1593,7 @@ def build_top_parser() -> argparse.ArgumentParser:
         "server's stats/metrics wire ops and renders a refreshing "
         "terminal frame (entries, hit rate, connections, in-flight, "
         "queue depth, request and evaluation rates, per-shard "
-        "utilization when an embedded EvalService reports).",
+        "utilization when a co-located EvalService reports).",
     )
     parser.add_argument(
         "address", metavar="HOST:PORT", help="a running 'repro serve'"

@@ -457,10 +457,10 @@ def evaluate_strategy(
 
     A picklable, module-level entry point for ad-hoc
     ``multiprocessing`` use: everything it takes and returns survives a
-    pickle round trip.  The exploration runtime's process pool ships
-    the same ingredients but runs its own per-worker engine reuse (see
-    ``repro.explore.executor``); this function is the one-shot
-    equivalent.  Builds a throwaway engine around ``cache`` (or a
+    pickle round trip.  The exploration runtime's service shards
+    receive the same ingredients but keep their own per-shard engine
+    reuse (see ``repro.explore.executor``); this function is the
+    one-shot equivalent.  Builds a throwaway engine around ``cache`` (or a
     private one) and delegates to :meth:`DepthFirstEngine.evaluate`.
     """
     engine = DepthFirstEngine(accel, search_config, policy, cache=cache)

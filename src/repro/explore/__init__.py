@@ -7,8 +7,9 @@ evaluations.  This subsystem runs them as first-class batches:
 * :class:`SweepSpec` / :class:`EvalJob` — declarative job lists for the
   tile-grid, multi-strategy, per-stack, multi-workload and
   multi-architecture sweep shapes;
-* :class:`Executor` — serial or ``ProcessPoolExecutor``-backed
-  evaluation with deterministic, backend-independent results;
+* :class:`Executor` — in-process evaluation, or (``jobs > 1``) the
+  shards of a long-lived :class:`~repro.serve.service.EvalService`,
+  with deterministic, backend-independent results;
 * :class:`MappingCache` — the shareable (and optionally disk-backed)
   store of LOMA search results that lets warm sweeps skip the mapping
   search entirely (re-exported from :mod:`repro.mapping.cache`).
@@ -19,7 +20,8 @@ Quick parallel sweep::
 
     spec = SweepSpec.tile_grid("meta_proto_like_df", "fsrcnn",
                                [(4, 4), (16, 18), (60, 72)])
-    results = Executor(jobs=4, cache=MappingCache("loma.json")).run(spec)
+    with Executor(jobs=4, cache=MappingCache("loma.json")) as executor:
+        results = executor.run(spec)   # 4 service shards
     best = min(results, key=lambda r: r.score("energy"))
 """
 

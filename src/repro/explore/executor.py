@@ -1,19 +1,20 @@
-"""Parallel sweep executor: runs :class:`~repro.explore.spec.SweepSpec`
-job lists serially or across worker processes.
+"""Sweep executor: runs :class:`~repro.explore.spec.SweepSpec` job
+lists serially or across the shards of an evaluation service.
 
 Design rules:
 
 * **Determinism** — results come back in job order and the parallel
-  backend is bit-identical to the serial one: every job is an
-  independent evaluation, and the mapping search is deterministic, so
-  cache state (cold, warm, or pre-warmed) never changes a result, only
-  how fast it is produced.
-* **Cache flow** — the executor owns a
-  :class:`~repro.mapping.cache.MappingCache`.  Serial runs share it
-  across all engines; parallel runs pre-warm each worker process with a
-  snapshot of it and harvest the workers' new entries back, so a
-  subsequent run (or a :meth:`~repro.mapping.cache.MappingCache.save`)
-  benefits from everything any worker learned.
+  path is bit-identical to the serial one: every job is an independent
+  evaluation, and the mapping search is deterministic, so cache state
+  (cold, warm, or pre-warmed) never changes a result, only how fast it
+  is produced.
+* **One parallel path** — every multi-job batch with ``jobs > 1`` runs
+  on a long-lived :class:`~repro.serve.service.EvalService`, which
+  pre-warms its shards with the executor's
+  :class:`~repro.mapping.cache.MappingCache` and merges their new
+  entries and hit/miss counts back, so a subsequent run (or a
+  :meth:`~repro.mapping.cache.MappingCache.save`) benefits from
+  everything any shard learned.
 * **Shipping** — jobs may reference zoo workloads/accelerators by name,
   which keeps the pickled payload tiny; objects are pickled as-is.
 """
@@ -21,7 +22,7 @@ Design rules:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -77,8 +78,7 @@ def _ref_key(ref) -> "str | int":
 class _JobRunner:
     """Evaluates jobs against per-accelerator engines sharing one cache.
 
-    Used directly by the serial backend, as process-global state by each
-    worker of the parallel backend, and per shard by the long-lived
+    Used directly by the serial backend and per shard by the long-lived
     evaluation service.  Object references memoize by ``id()``, which a
     service shard sees fresh for every unpickled job — so both memos are
     capacity-bounded (oldest out) to keep a long-lived runner's memory
@@ -147,69 +147,37 @@ class _JobRunner:
         return engine.evaluate(workload, job.strategy)
 
 
-# ----------------------------------------------------------------------
-# Worker-process plumbing (module-level: must be picklable / importable)
-# ----------------------------------------------------------------------
-_WORKER_RUNNER: list[_JobRunner] = []
-
-
-def _worker_init(search_config, policy, warm_entries, obs_enabled=False) -> None:
-    """Process-pool initializer: build this worker's runner, pre-warmed
-    with the parent cache's entries.  Telemetry restarts from a clean
-    worker-local registry (no tracer — the trace file is single-writer)
-    so the parent's fork-merge harvest never double-counts."""
-    obs.worker_begin(obs_enabled)
-    cache = MappingCache()
-    cache.merge(warm_entries)
-    _WORKER_RUNNER.clear()
-    _WORKER_RUNNER.append(_JobRunner(search_config, policy, cache))
-
-
-def _worker_run_shard(shard: "list[tuple[int, EvalJob]]"):
-    """Evaluate one shard; returns indexed results, the cache entries
-    this worker learned, its (hits, misses) delta — so the parent can
-    harvest new results *and* keep aggregate statistics truthful — and
-    the worker's telemetry registry dump (``None`` when telemetry is
-    off), fork-merged into the parent registry."""
-    runner = _WORKER_RUNNER[0]
-    baseline = runner.cache.keys()
-    hits0, misses0 = runner.cache.hits, runner.cache.misses
-    results = [(index, runner.evaluate(job)) for index, job in shard]
-    stats = (runner.cache.hits - hits0, runner.cache.misses - misses0)
-    return results, runner.cache.delta(baseline), stats, obs.harvest()
-
-
-#: Executor backends; ``None`` auto-selects serial/process from ``jobs``.
-BACKENDS = ("serial", "process", "service")
+#: Executor backends; ``None`` auto-selects one from ``jobs``.
+BACKENDS = ("serial", "service")
 
 
 class Executor:
-    """Runs sweep jobs with a serial, process-pool or service backend.
+    """Runs sweep jobs in-process or on an evaluation service.
 
     Parameters
     ----------
     jobs:
-        Worker processes (service: shards).  ``1`` (default) evaluates
-        in-process; ``0`` or ``None`` means one worker per CPU.
+        Service shards (worker processes).  ``1`` (default) evaluates
+        in-process; ``0`` or ``None`` means one shard per CPU.
     search_config, policy:
         Engine construction knobs, shared by every evaluation.
     cache:
         A :class:`MappingCache` handle shared across the run (and, if
         disk-backed, across runs).  A private in-memory cache is created
         when omitted.  A :class:`~repro.serve.cache_server.CacheClient`
-        is accepted anywhere a cache is: every backend then reads and
-        writes the remote server's live table.
+        is accepted anywhere a cache is: every evaluation then reads and
+        writes the remote server's live table, so shards share hits
+        mid-run.
     backend:
-        ``None`` (default) auto-selects: serial for ``jobs=1``, the
-        process pool otherwise.  ``"service"`` runs each batch through
-        the synchronous ``map()`` of a long-lived
-        :class:`~repro.serve.service.EvalService` whose ``jobs`` shards
-        pull from one shared job queue and share one live cache server
-        — hits propagate *between* workers mid-run, and the service
+        ``None`` (default) auto-selects: serial for ``jobs=1`` or a
+        one-job batch, the service otherwise.  ``"service"`` runs every
+        batch, however small, through the synchronous ``map()`` of a
+        long-lived :class:`~repro.serve.service.EvalService` whose
+        ``jobs`` shards pull from one shared job queue.  The service
         (with its warm shards) persists across ``run()`` calls until
-        :meth:`close`.
+        :meth:`close`, or until the executor is garbage-collected.
 
-    Every backend returns bit-identical results for the same job list.
+    Both backends return bit-identical results for the same job list.
     """
 
     def __init__(
@@ -234,6 +202,7 @@ class Executor:
         self.cache = cache if cache is not None else MappingCache()
         self.backend = backend
         self._service = None
+        self._finalizer: weakref.finalize | None = None
 
     # ------------------------------------------------------------------
     def run(self, spec: "SweepSpec | Iterable[EvalJob]") -> list[EvalResult]:
@@ -244,16 +213,12 @@ class Executor:
             return []
         backend = self.backend
         if backend is None:
-            backend = "serial" if self.jobs == 1 or len(jobs) == 1 else "process"
-        if backend != "service" and (self.jobs == 1 or len(jobs) == 1):
-            backend = "serial"
+            backend = "serial" if self.jobs == 1 or len(jobs) == 1 else "service"
         with obs.span("executor.run", backend=backend, jobs=len(jobs)):
             if backend == "service":
                 results = self._run_service(jobs)
-            elif backend == "serial":
-                results = self._run_serial(jobs)
             else:
-                results = self._run_parallel(jobs)
+                results = self._run_serial(jobs)
         if obs.enabled:
             obs.metrics().counter(
                 "executor_jobs_total", backend=backend
@@ -273,6 +238,8 @@ class Executor:
                 policy=self.policy,
                 cache=self.cache,
             ).start()
+            # An executor dropped without close() must not leak shards.
+            self._finalizer = weakref.finalize(self, self._service.stop)
         return [
             EvalResult(job=job, result=result, index=i)
             for i, (job, result) in enumerate(zip(jobs, self._service.map(jobs)))
@@ -285,11 +252,11 @@ class Executor:
         return self._service
 
     def close(self) -> None:
-        """Stop the service backend's shards and embedded cache server
-        (idempotent; other backends hold no long-lived state)."""
-        service, self._service = self._service, None
-        if service is not None:
-            service.stop()
+        """Stop the service backend's shards (idempotent; the serial
+        backend holds no long-lived state)."""
+        self._service = None
+        if self._finalizer is not None:
+            self._finalizer()  # a no-op once it has run
 
     def __enter__(self) -> "Executor":
         return self
@@ -302,37 +269,5 @@ class Executor:
         runner = _JobRunner(self.search_config, self.policy, self.cache)
         return [
             EvalResult(job=job, result=runner.evaluate(job), index=i)
-            for i, job in enumerate(jobs)
-        ]
-
-    def _run_parallel(self, jobs: Sequence[EvalJob]) -> list[EvalResult]:
-        workers = min(self.jobs, len(jobs))
-        # Round-robin sharding spreads expensive grid regions across
-        # workers; one shard per worker maximizes in-worker cache reuse.
-        shards: list[list[tuple[int, EvalJob]]] = [[] for _ in range(workers)]
-        for i, job in enumerate(jobs):
-            shards[i % workers].append((i, job))
-
-        by_index: dict[int, object] = {}
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(
-                self.search_config,
-                self.policy,
-                self.cache.snapshot(),
-                obs.enabled,
-            ),
-        ) as pool:
-            futures = [pool.submit(_worker_run_shard, shard) for shard in shards]
-            for future in futures:
-                results, new_entries, (hits, misses), telemetry = future.result()
-                self.cache.merge(new_entries)
-                self.cache.hits += hits
-                self.cache.misses += misses
-                obs.absorb(telemetry)
-                by_index.update(results)
-        return [
-            EvalResult(job=job, result=by_index[i], index=i)
             for i, job in enumerate(jobs)
         ]

@@ -2,7 +2,7 @@
 
 PR 7 gave every run spans and metrics, but the telemetry died with the
 process.  The ledger is the cross-run layer: ``repro evaluate`` and
-``repro dse`` append a record — manifest (argv, seed, engine/backend,
+``repro dse`` append a record — manifest (argv, seed, engine, jobs,
 accelerator fingerprints, package versions), wall-clock, the final
 :class:`~repro.obs.metrics.MetricsRegistry` dump (when telemetry was
 on), the per-generation convergence series, and the outcome status —

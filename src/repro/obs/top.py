@@ -2,12 +2,12 @@
 
 The cache server already exposes everything a monitor needs — the
 ``stats`` op (table counters + live load) and the ``metrics`` op
-(Prometheus exposition of the server process, which for an embedded
-server includes the per-shard counters its
-:class:`~repro.serve.service.EvalService` shards ship back with every
-result).  This module polls those two ops and renders the deltas
-between consecutive samples as rates: request throughput, evaluations
-per second, per-shard utilization.
+(Prometheus exposition of the server process, which — when that
+process also runs an executor with telemetry on — includes the
+per-shard counters its :class:`~repro.serve.service.EvalService`
+shards ship back with every result).  This module polls those two ops
+and renders the deltas between consecutive samples as rates: request
+throughput, evaluations per second, per-shard utilization.
 
 Kept free of any terminal dependency: :func:`sample_server` returns a
 plain dict and :func:`top_report` a string, so the CLI loop (and the
@@ -20,11 +20,6 @@ import time
 from typing import Any, Mapping
 
 from .metrics import parse_prometheus, split_series
-
-#: Stats-op request ops that correspond to one evaluation landing in
-#: the table (used as the evals/s proxy when no service shards report).
-_PUT_OPS = ("put", "put_many")
-
 
 def sample_server(client: Any) -> dict[str, Any]:
     """One monitoring sample: the server's ``stats`` op, its parsed
@@ -77,7 +72,7 @@ def _shard_rows(
     curr: dict[str, Any], prev: dict[str, Any] | None
 ) -> list[tuple[str, float, float | None, float | None]]:
     """Per-shard (shard, jobs, jobs/s, busy fraction) rows from the
-    counters an embedded :class:`EvalService`'s shards ship back."""
+    counters a co-located :class:`EvalService`'s shards ship back."""
     jobs = _series_by_label(curr["values"], "service_jobs_total", "shard")
     if not jobs:
         return []
@@ -156,11 +151,9 @@ def top_report(
         if shard_rows and all(r[2] is not None for r in shard_rows):
             evals = sum(r[2] for r in shard_rows if r[2] is not None)
         else:
-            evals = _rate(
-                sum(requests.get(op, 0) for op in _PUT_OPS),
-                sum(prev_requests.get(op, 0) for op in _PUT_OPS),
-                dt,
-            )
+            # One put lands one search result: the evals/s proxy when
+            # no service shards report.
+            evals = _rate(requests.get("put", 0), prev_requests.get("put", 0), dt)
         lines.append(
             f"  rates     reqs/s {_fmt(reqs)}   gets/s {_fmt(gets)}"
             f"   evals/s {_fmt(evals)}   (over {_fmt(dt, 's')})"

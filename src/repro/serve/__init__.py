@@ -1,20 +1,20 @@
-"""Evaluation service: a live shared-cache server and sharded job
-execution on top of the exploration runtime.
+"""Evaluation service: sharded job execution and a live shared-cache
+server on top of the exploration runtime.
 
-The batch runtime (PR 1) shares mapping-cache hits only between runs or
-at batch edges; this subsystem turns it into a long-lived service:
-
-* :class:`CacheServer` / :class:`CacheClient` — one live mapping-cache
-  table served over TCP (JSON lines); every worker of a run reads and
-  writes it, so hits propagate *during* the run.  ``repro serve`` runs
-  a standalone server; ``--cache-server HOST:PORT`` points executors at
-  it.  Periodic snapshots keep the persistent JSON cache format
-  unchanged.
 * :class:`EvalService` — N long-lived worker shards pulling from one
   shared job queue; its synchronous ``map()`` evaluates each distinct
   job of a batch once (duplicates share the result) and returns the
-  results in job order.  ``Executor(jobs=N, backend="service")`` runs
-  every batch through it, with results bit-identical to serial.
+  results in job order.  Each shard searches against a local mapping
+  cache pre-warmed from the caller's, and every job's new entries and
+  hit/miss counts are merged back.  ``Executor(jobs=N)`` runs every
+  multi-job batch through it, with results bit-identical to serial.
+* :class:`CacheServer` / :class:`CacheClient` — one live mapping-cache
+  table served over TCP (JSON lines); every client of a run reads and
+  writes it, so hits propagate between shards — and machines —
+  *during* the run.  ``repro serve`` runs a standalone server;
+  ``--cache-server HOST:PORT`` points executors (and their shards) at
+  it.  Periodic snapshots keep the persistent JSON cache format
+  unchanged.
 
 Quick start::
 
@@ -22,8 +22,8 @@ Quick start::
 
     spec = SweepSpec.tile_grid("meta_proto_like_df", "fsrcnn",
                                [(4, 4), (16, 18), (60, 72)])
-    with Executor(jobs=4, backend="service") as executor:
-        results = executor.run(spec)   # workers share cache hits live
+    with Executor(jobs=4) as executor:
+        results = executor.run(spec)   # 4 shards, one shared job queue
 """
 
 from .cache_server import (

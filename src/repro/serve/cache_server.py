@@ -2,13 +2,14 @@
 :class:`~repro.mapping.cache.MappingCache`, and a client that stands in
 for a local cache anywhere one is accepted.
 
-The exploration runtime's process backend shares cache hits only at the
-*edges* of a run (workers are pre-warmed with a snapshot and their new
-entries harvested afterwards), so two workers that draw the same
-``(layer, accelerator, tops)`` mapping inside one batch both pay for the
-LOMA search.  :class:`CacheServer` closes that window: every worker
-reads and writes one live table, so a mapping searched once is a hit for
-every other worker *during* the run.
+The evaluation service's shards share cache hits only at the *edges*
+of a service's life (each shard is pre-warmed with the caller's entries
+and its new entries are merged back after every job), so two shards
+that draw the same ``(layer, accelerator, tops)`` mapping both pay for
+the LOMA search.  :class:`CacheServer` (``repro serve``) closes that
+window: every client reads and writes one live table, so a mapping
+searched once is a hit for every other client — on any machine —
+*during* the run.
 
 Protocol: newline-delimited JSON over a persistent TCP connection.  Each
 request is ``{"op": ..., ...}`` and each response ``{"ok": true, ...}``
@@ -33,7 +34,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 from .. import obs
 from ..mapping.cache import (
@@ -235,7 +236,7 @@ class CacheServer:
         self._http_thread: threading.Thread | None = None  # guarded-by: <owner>
         self._stopping = threading.Event()
         self.auth_token = auth_token
-        self.requests = {"get": 0, "put": 0, "put_many": 0, "snapshot": 0}  # guarded-by: _lock
+        self.requests = {"get": 0, "put": 0}  # guarded-by: _lock
         self.snapshots_written = 0  # guarded-by: _lock
         self.unauthorized = 0  # guarded-by: _counter_lock
         # Live load counters (read under _counter_lock): open client
@@ -441,30 +442,6 @@ class CacheServer:
             self.cache.put(request["key"], result)
         return {"ok": True}
 
-    def _op_put_many(self, request: Mapping) -> dict:
-        entries = {
-            key: decode_search_result(data)
-            for key, data in request["entries"].items()
-        }
-        with self._lock:
-            self.requests["put_many"] += 1
-            new = self.cache.merge(entries)
-        return {"ok": True, "new": new}
-
-    def _op_snapshot(self, request: Mapping) -> dict:
-        with self._lock:
-            self.requests["snapshot"] += 1
-            entries = {
-                key: encode_search_result(result)
-                for key, result in self.cache.snapshot().items()
-            }
-        return {"ok": True, "entries": entries}
-
-    def _op_keys(self, request: Mapping) -> dict:
-        with self._lock:
-            keys = sorted(self.cache.keys())
-        return {"ok": True, "keys": keys}
-
     def _op_stats(self, request: Mapping) -> dict:
         with self._lock:
             stats = dict(self.cache.stats)
@@ -483,8 +460,9 @@ class CacheServer:
     def export_metrics(self) -> MetricsRegistry:
         """The server's state as a metrics registry: cache counters,
         per-op request totals and live load gauges, merged with this
-        process's global telemetry registry when telemetry is on (an
-        embedded server then also exports its executor's counters)."""
+        process's global telemetry registry when telemetry is on (a
+        server sharing a process with an executor then also exports the
+        executor's counters)."""
         registry = MetricsRegistry()
         if obs.enabled:
             registry.merge(obs.metrics())
@@ -537,19 +515,20 @@ class CacheServer:
 class CacheClient:
     """A :class:`MappingCache` stand-in backed by a :class:`CacheServer`.
 
-    Implements the full cache surface the engines and executors use —
-    ``get``/``put`` on the hot path, ``snapshot``/``merge``/``keys``/
-    ``delta`` for the process backend's pre-warm + harvest — so a client
-    can be dropped anywhere a :class:`MappingCache` is accepted (e.g.
-    ``Executor(cache=CacheClient("host:1234"))``).
+    Implements the cache surface the engines and executors use —
+    ``get``/``put``, the ``hits``/``misses`` counters, ``stats`` and
+    ``clear`` — so a client can be dropped anywhere a
+    :class:`MappingCache` is accepted (e.g.
+    ``Executor(cache=CacheClient("host:1234"))``, whose service shards
+    then each connect to the same server).
 
     Reads are cached locally: a key fetched or put once is (while it
     stays within ``local_bound``, oldest-out) never requested again, so
     the server mostly sees first-touch traffic.  A *server-side* hit
     therefore always means one client benefiting from an entry another
-    client produced — the intra-run sharing the process backend cannot
-    provide.  The bound keeps long-lived clients (service shards) at
-    flat memory; an evicted key is simply re-fetched.
+    client produced — the intra-run sharing that shard-local caches
+    cannot provide.  The bound keeps long-lived clients (service shards)
+    at flat memory; an evicted key is simply re-fetched.
     """
 
     #: Default capacity of the local read cache.
@@ -686,49 +665,6 @@ class CacheClient:
                 time.monotonic() - t0
             )
 
-    def snapshot(self) -> dict[str, SearchResult]:
-        """The server's full table (also refreshes the local read cache)."""
-        response = self._request({"op": "snapshot"})
-        entries = {
-            key: decode_search_result(data)
-            for key, data in response["entries"].items()
-        }
-        for text, entry in entries.items():
-            self._remember(text, entry)
-        return entries
-
-    def merge(self, entries: Mapping[str, SearchResult]) -> int:
-        if not entries:
-            return 0
-        for text, entry in entries.items():
-            self._remember(text, entry)
-        t0 = time.monotonic() if obs.enabled else 0.0
-        response = self._request(
-            {
-                "op": "put_many",
-                "entries": {
-                    key: encode_search_result(result)
-                    for key, result in entries.items()
-                },
-            }
-        )
-        if obs.enabled:
-            obs.metrics().histogram("cache_client_merge_seconds").observe(
-                time.monotonic() - t0
-            )
-        return int(response["new"])
-
-    def keys(self) -> set[str]:
-        return set(self._request({"op": "keys"})["keys"])
-
-    def delta(self, baseline: Iterable[str]) -> dict[str, SearchResult]:
-        base = set(baseline)
-        return {
-            key: result
-            for key, result in self.snapshot().items()
-            if key not in base
-        }
-
     def clear(self) -> None:
         """Drop the *local* read cache and counters (the engine-facing
         ``clear_cache`` surface).  The server's table is shared by other
@@ -739,10 +675,6 @@ class CacheClient:
 
     def __len__(self) -> int:
         return int(self.server_stats()["size"])
-
-    def __contains__(self, key: Hashable) -> bool:
-        text = normalize_key(key)
-        return text in self._local or text in self.keys()
 
     @property
     def stats(self) -> dict[str, int]:

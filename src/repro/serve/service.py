@@ -1,33 +1,34 @@
-"""Evaluation service: worker shards pulling from one shared job queue
-and sharing one live cache server.
+"""Evaluation service: worker shards pulling from one shared job queue.
 
-Where the process backend of :class:`~repro.explore.executor.Executor`
-is a *batch* machine (fork workers, run one shard list each, harvest,
-tear down), :class:`EvalService` is a *long-lived* one:
+:class:`EvalService` is the one parallel mechanism of the exploration
+runtime — :class:`~repro.explore.executor.Executor` runs every
+multi-job batch with ``jobs > 1`` through it:
 
-* **shards** — N worker processes pulling from one shared job queue;
-  they stay warm across batches, keeping their per-accelerator engines
-  and local read caches;
+* **shards** — N long-lived worker processes pulling from one shared
+  job queue; they stay warm across batches, keeping their
+  per-accelerator engines and mapping caches;
 * **dedup** — :meth:`EvalService.map` evaluates each distinct
   :func:`job_key` of a batch once and hands its result to every
   duplicate (results are deterministic, so dedup never changes an
   answer);
-* **shared cache** — every shard's mapping cache is a
-  :class:`~repro.serve.cache_server.CacheClient`, wired either to an
-  embedded :class:`CacheServer` fronting the caller's own
-  :class:`MappingCache` (hits land in it live — no harvest step) or,
-  when the caller's cache is itself a ``CacheClient``, to that external
-  server (``repro serve``), which is the hook for sharding across
-  machines;
+* **cache flow** — each shard searches against a local
+  :class:`MappingCache` pre-warmed at :meth:`EvalService.start` with
+  the caller cache's entries; every result carries the entries its job
+  added and its hit/miss counts, which ``map`` merges into the caller's
+  cache.  When the caller's cache is a
+  :class:`~repro.serve.cache_server.CacheClient` (``--cache-server``),
+  the shards connect to that server instead and share its table live —
+  the hook for sharding across machines;
 * **telemetry** — with telemetry on, every result carries its shard's
   registry delta, which ``map`` folds into the caller's registry.
 
 ``map(jobs)`` returns results in job order, bit-identical to a serial
-run of the same jobs; ``Executor(backend="service")`` is built on it.
+run of the same jobs.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import queue
 import time
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .. import obs
 from ..mapping.cache import MappingCache
-from .cache_server import CacheClient, CacheServer
+from .cache_server import CacheClient
 
 if TYPE_CHECKING:
     from ..explore.spec import EvalJob
@@ -76,24 +77,37 @@ def _service_worker_main(
     result_queue,
     search_config,
     policy,
-    server_address,
+    cache_source,
     obs_enabled: bool = False,
 ) -> None:
     """Pull ``(job_id, job, submit_time)`` items until the ``None``
-    sentinel; evaluate each against a runner whose cache is a client of
-    the cache server at ``server_address``.
+    sentinel and evaluate each.  ``cache_source`` is either the caller
+    cache's entries, which pre-warm this shard's local
+    :class:`MappingCache`, or the address of the cache server whose
+    table the shards share.
 
-    Each result message is ``(job_id, result, error, telemetry)``.
-    ``telemetry`` is this shard's registry delta since its previous
-    message (``None`` with telemetry off): the evaluation's own series
-    plus the shard's queue-wait and execution time (monotonic-clock
-    deltas, comparable across processes on the platforms that matter).
-    The registry is cleared after every harvest, so no delta is shipped
+    Each result message is ``(job_id, result, error, entries, lookups,
+    telemetry)``: the cache entries the job added (always empty against
+    a cache server, which already holds them), its ``(hits, misses)``
+    counts, and this shard's registry delta since its previous message
+    (``None`` with telemetry off) — the evaluation's own series plus
+    the shard's queue-wait and execution time (monotonic-clock deltas,
+    comparable across processes on the platforms that matter).  The
+    registry is cleared after every harvest, so no delta is shipped
     twice."""
     from ..explore.executor import _JobRunner
 
+    # Objects inherited through fork belong to the parent: never collect
+    # them here, or an executor the parent dropped in a reference cycle
+    # would run its finalizer — and stop its service — in this shard.
+    gc.freeze()
     obs.worker_begin(obs_enabled)
-    cache = CacheClient(server_address)
+    if isinstance(cache_source, dict):
+        cache = MappingCache()
+        cache.merge(cache_source)
+        known = cache.keys()
+    else:
+        cache, known = CacheClient(cache_source), None
     runner = _JobRunner(search_config, policy, cache)
     try:
         while True:
@@ -102,12 +116,17 @@ def _service_worker_main(
                 break
             job_id, job, t_submit = item
             t_start = time.monotonic()
+            hits, misses = cache.hits, cache.misses
             result = error = None
             try:
                 result = runner.evaluate(job)
             except Exception as exc:  # noqa: BLE001 - shipped to the parent
                 detail = "".join(traceback.format_exception_only(exc)).strip()
                 error = f"shard {shard_index}: {detail}"
+            entries = {} if known is None else cache.delta(known)
+            if entries:
+                known.update(entries)
+            lookups = (cache.hits - hits, cache.misses - misses)
             if obs.enabled:
                 registry = obs.metrics()
                 registry.histogram(
@@ -119,9 +138,10 @@ def _service_worker_main(
                 registry.counter("service_jobs_total", shard=shard_index).inc()
             telemetry = obs.harvest()
             obs.metrics().clear()
-            result_queue.put((job_id, result, error, telemetry))
+            result_queue.put((job_id, result, error, entries, lookups, telemetry))
     finally:
-        cache.close()
+        if isinstance(cache, CacheClient):
+            cache.close()
         # Results still buffered here belong to a batch the parent gave
         # up on; exiting must not wait for a reader that never comes.
         result_queue.cancel_join_thread()
@@ -137,11 +157,12 @@ class EvalService:
     search_config, policy:
         Engine knobs, shared by every evaluation (as in ``Executor``).
     cache:
-        The :class:`MappingCache` the embedded server fronts; hits and
-        new entries are live in this handle during the run.  A
+        The caller's :class:`MappingCache`: :meth:`start` pre-warms
+        every shard with its entries, and :meth:`map` merges each job's
+        new entries and hit/miss counts back into it.  A
         :class:`CacheClient` of an external ``repro serve`` cache server
-        instead makes the shards share *that* table (multi-machine
-        mode), and no embedded server is started.
+        instead makes the shards share *that* table live (multi-machine
+        mode); only the hit/miss counts are merged into the client.
 
     Every method runs on the thread that owns the service.
     """
@@ -159,7 +180,6 @@ class EvalService:
         self.search_config = search_config
         self.policy = policy
         self.cache = cache if cache is not None else MappingCache()
-        self._server: CacheServer | None = None  # guarded-by: <owner>
         self._workers: list[mp.Process] = []  # guarded-by: <owner>
         self._job_queue = None  # guarded-by: <owner>
         self._result_queue = None  # guarded-by: <owner>
@@ -180,10 +200,9 @@ class EvalService:
         if self.running:
             return self
         if isinstance(self.cache, CacheClient):
-            address = self.cache.address
+            cache_source = self.cache.address
         else:
-            self._server = CacheServer(cache=self.cache).start()
-            address = self._server.address
+            cache_source = self.cache.snapshot()
         context = mp.get_context()
         self._job_queue = context.Queue()
         self._result_queue = context.Queue()
@@ -197,7 +216,7 @@ class EvalService:
                     self._result_queue,
                     self.search_config,
                     self.policy,
-                    address,
+                    cache_source,
                     obs.enabled,
                 ),
                 daemon=True,
@@ -210,8 +229,7 @@ class EvalService:
         return self
 
     def stop(self) -> None:
-        """Sentinel the shards, join them and stop the embedded server
-        (last: a shard still starting up connects to it)."""
+        """Sentinel the shards and join them."""
         if not self.running:
             return
         for _ in self._workers:
@@ -226,9 +244,6 @@ class EvalService:
         self._job_queue = None
         self._result_queue.close()
         self._result_queue = None
-        if self._server is not None:
-            self._server.stop()
-            self._server = None
 
     @property
     def running(self) -> bool:
@@ -236,11 +251,11 @@ class EvalService:
 
     @property
     def server_address(self) -> "tuple[str, int] | None":
-        """Address of the cache server the shards share (embedded or
-        external); ``None`` before :meth:`start` in embedded mode."""
+        """Address of the cache server the shards share, or ``None``
+        when each shard searches against its own local cache."""
         if isinstance(self.cache, CacheClient):
             return self.cache.address
-        return None if self._server is None else self._server.address
+        return None
 
     def __enter__(self) -> "EvalService":
         return self.start()
@@ -278,13 +293,18 @@ class EvalService:
         outcomes: dict[int, tuple] = {}
         while pending:
             try:
-                job_id, result, error, telemetry = self._result_queue.get(
-                    timeout=_LIVENESS_INTERVAL
+                job_id, result, error, entries, lookups, telemetry = (
+                    self._result_queue.get(timeout=_LIVENESS_INTERVAL)
                 )
             except queue.Empty:
                 self._check_shards(pending)
                 continue
+            # Every shard lookup counts once, even in a late result.
             obs.absorb(telemetry)
+            if entries:
+                self.cache.merge(entries)
+            self.cache.hits += lookups[0]
+            self.cache.misses += lookups[1]
             if pending.pop(job_id, None) is None:
                 continue  # a result of an earlier, abandoned batch
             outcomes[job_id] = (result, error)
@@ -329,16 +349,13 @@ class EvalService:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Service counters plus the shared cache server's view."""
-        data = {
+        """Service counters plus the caller cache's ``stats``."""
+        return {
             "shards": self.shards,
             "submitted": self.submitted,
             "coalesced": self.coalesced,
             "completed": self.completed,
             "errors": self.errors,
             "shard_deaths": self.shard_deaths,
+            "cache": dict(self.cache.stats),
         }
-        if self._server is not None:
-            data["cache"] = dict(self._server.cache.stats)
-            data["cache"]["requests"] = dict(self._server.requests)
-        return data

@@ -1,12 +1,16 @@
 """Executor tests: serial/parallel equivalence and cache flow.
 
-The headline guarantee: the process-pool backend returns results in the
-same order and with bit-identical totals as the serial backend.
+The headline guarantee: the parallel path (an evaluation service)
+returns results in the same order and with bit-identical totals as the
+serial backend.
 """
+
+import gc
+import multiprocessing
 
 import pytest
 
-from repro import DepthFirstEngine, DFStrategy
+from repro import DepthFirstEngine, DFStrategy, obs
 from repro.core.optimizer import best_combination, sweep
 from repro.core.scheduler import evaluate_strategy
 from repro.core.strategy import OverlapMode
@@ -71,6 +75,71 @@ class TestParallelExecutor:
         # (workers may independently miss the same key).
         assert executor.cache.misses >= len(executor.cache)
         assert executor.cache.hits > 0
+
+    def test_parallel_counts_every_lookup_once(self, grid_spec, fast_config):
+        """Each shard lookup lands once in the caller's cache counters
+        and in the merged telemetry.  The tiny grid's jobs share no
+        mapping keys, so jobs=2 must read exactly the serial counts."""
+        counts = {}
+        for jobs, backend in ((1, "serial"), (2, "service")):
+            obs.enable()  # metrics-only
+            try:
+                with Executor(
+                    jobs=jobs, search_config=fast_config, backend=backend
+                ) as executor:
+                    executor.run(grid_spec)
+                gets = sum(
+                    obs.metrics().value("mapping_cache_gets_total", result=result)
+                    for result in ("hit", "miss")
+                )
+            finally:
+                obs.reset()
+            counts[jobs] = (executor.cache.hits, executor.cache.misses, gets)
+        hits, misses, gets = counts[1]
+        assert hits > 0 and gets == hits + misses
+        assert counts[2] == counts[1]
+
+    def test_dropped_executor_stops_its_shards(self, grid_spec, fast_config):
+        """An executor dropped without close() stops its service when it
+        is garbage-collected: no shard outlives it."""
+        executor = Executor(jobs=2, search_config=fast_config)
+        executor.run(grid_spec)
+        assert all(worker.is_alive() for worker in executor.service._workers)
+        del executor
+        gc.collect()
+        assert multiprocessing.active_children() == []
+
+    def test_shards_leave_the_parents_garbage_alone(
+        self, grid_spec, fast_config, monkeypatch
+    ):
+        """An executor the parent dropped in a reference cycle is
+        finalized by the parent's collector, never by a collection
+        inside another service's forked shard."""
+        from repro.explore import executor as executor_module
+
+        holder = {"executor": Executor(jobs=2, search_config=fast_config)}
+        holder["self"] = holder  # a cycle: only the collector frees it
+        holder["executor"].run(grid_spec)
+        shards = list(holder["executor"].service._workers)
+        evaluate = executor_module._JobRunner.evaluate
+
+        def collect_then_evaluate(runner, job):
+            gc.collect()  # a full collection inside the forked shard
+            return evaluate(runner, job)
+
+        monkeypatch.setattr(
+            executor_module._JobRunner, "evaluate", collect_then_evaluate
+        )
+        gc.disable()
+        try:
+            del holder
+            with Executor(jobs=2, search_config=fast_config) as other:
+                other.run(grid_spec)
+            assert all(shard.is_alive() for shard in shards)
+        finally:
+            gc.enable()
+        gc.collect()
+        assert multiprocessing.active_children() == []
 
     def test_lbl_and_sl_strategies_survive_pickling(self, tiny, fast_config):
         # Regression: one_layer_per_stack used a sentinel *identity*

@@ -45,31 +45,29 @@ def frontier_key(result):
     ]
 
 
-@pytest.mark.parametrize("backend", ["process", "service"])
 class TestForkMerge:
-    def test_workers_fold_into_parent_registry(self, backend):
-        """The fork-merge satellite: worker processes run with clean
-        registries and their LOMA counters land in the parent."""
+    def test_workers_fold_into_parent_registry(self):
+        """Fork-merge: service shards run with clean registries and
+        their LOMA counters land in the parent."""
         obs.enable()  # metrics-only
-        run_dse(backend=backend, jobs=2)
+        run_dse(jobs=2)
         registry = obs.metrics()
-        # The searches happened in worker processes, yet the parent
+        # The searches happened in shard processes, yet the parent
         # registry sees them via the harvest/absorb round trip.
         assert registry.value("loma_searches_total") > 0
         assert registry.value("loma_orderings_evaluated_total") > 0
         hit = registry.value("mapping_cache_gets_total", result="hit")
         miss = registry.value("mapping_cache_gets_total", result="miss")
         assert hit + miss > 0
-        assert registry.value("executor_jobs_total", backend=backend) == 2
+        assert registry.value("executor_jobs_total", backend="service") == 2
         assert registry.value("dse_generations_total") == 1
-        if backend == "service":
-            shard_jobs = sum(
-                m.value for m in registry if m.name == "service_jobs_total"
-            )
-            assert shard_jobs == 2  # one per distinct job
+        shard_jobs = sum(
+            m.value for m in registry if m.name == "service_jobs_total"
+        )
+        assert shard_jobs == 2  # one per distinct job
 
-    def test_disabled_parent_ships_nothing(self, backend):
-        run_dse(backend=backend, jobs=2)
+    def test_disabled_parent_ships_nothing(self):
+        run_dse(jobs=2)
         assert len(obs.metrics()) == 0
 
 

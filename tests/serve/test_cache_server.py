@@ -140,6 +140,13 @@ class TestClientBasics:
             client._request({"op": "frobnicate"})
         assert client.ping() == 0  # connection still usable
 
+    @pytest.mark.parametrize("op", ["put_many", "snapshot", "keys"])
+    def test_bulk_table_ops_are_gone(self, client, op):
+        """Clients read and write one key at a time: no op ships or
+        lists the whole table."""
+        with pytest.raises(CacheServerError, match="unknown cache-server op"):
+            client._request({"op": op})
+
     def test_non_object_request_is_reported(self, server):
         with socket.create_connection(server.address) as sock:
             sock.sendall(b"[1,2,3]\n")
@@ -151,22 +158,6 @@ class TestClientBasics:
 class TestMappingCacheSurface:
     """CacheClient must be a drop-in for MappingCache everywhere the
     engines and executors touch one."""
-
-    def test_snapshot_merge_keys_delta_parity(self, client, server):
-        local = MappingCache()
-        entries = {f"key{i}": make_result(i) for i in range(4)}
-        local.merge(entries)
-        assert client.merge(entries) == 4
-        assert client.merge(entries) == 0  # nothing new the second time
-        assert client.keys() == local.keys()
-        assert client.snapshot() == local.snapshot()
-        assert client.delta(["key0", "key1"]) == local.delta(["key0", "key1"])
-        assert len(client) == len(local)
-
-    def test_contains(self, client):
-        client.put("present", make_result(1))
-        assert "present" in client
-        assert "absent" not in client
 
     def test_stats_shape(self, client):
         client.put("k", make_result(1))

@@ -94,10 +94,16 @@ class TestLifecycle:
             with pytest.raises(ValueError, match="shards"):
                 EvalService(shards=shards)
 
-    def test_embedded_server_address_published(self):
-        with EvalService(shards=1) as service:
-            host, port = service.server_address
-            assert port > 0
+    def test_shard_local_caches_start_no_server(self, tiny, fast_config, monkeypatch):
+        """With a plain MappingCache each shard searches against its own
+        local cache: no cache server is started, so none is published."""
+        def refuse(server):
+            raise AssertionError("EvalService started a CacheServer")
+
+        monkeypatch.setattr(CacheServer, "start", refuse)
+        with EvalService(shards=1, search_config=fast_config) as service:
+            service.map([tiny_job(4, workload=tiny)])
+            assert service.server_address is None
 
     def test_surface_is_map_only(self):
         """map() is the one way in: the async surface is gone."""
@@ -214,8 +220,9 @@ class TestEvaluation:
         expected = Executor(jobs=1, search_config=fast_config).run([second])
         with EvalService(shards=1, search_config=fast_config) as service:
             (late,) = service.map([first])
-            service._result_queue.put((0, late, None, None))
+            service._result_queue.put((0, late, None, {}, (0, 0), None))
             (result,) = service.map([second])
+            assert service.completed == 2
         assert result.total == expected[0].result.total
 
 
@@ -289,7 +296,7 @@ class TestExecutorServiceBackend:
             first = ex.run(grid_spec)
             service = ex.service
             assert service is not None
-            assert len(cache) > 0  # entries landed live, no harvest step
+            assert len(cache) > 0  # map merged the shards' entries back
             again = ex.run(grid_spec)
             assert ex.service is service  # same warm service, same shards
             for a, b in zip(first, again):
@@ -306,36 +313,16 @@ class TestExecutorServiceBackend:
     def test_cache_client_routes_shards_to_external_server(
         self, grid_spec, fast_config
     ):
-        """Executor(cache=CacheClient, backend='service'): the shards
-        connect straight to the external server — its table fills, and
-        no embedded server is started."""
+        """Executor(cache=CacheClient): the shards connect straight to
+        the external server — its table fills, and the shards' lookups
+        are counted in the caller's client."""
         shared = MappingCache()
         with CacheServer(cache=shared) as srv:
             with CacheClient(srv.address) as client:
                 with Executor(
-                    jobs=2,
-                    backend="service",
-                    search_config=fast_config,
-                    cache=client,
+                    jobs=2, search_config=fast_config, cache=client
                 ) as ex:
                     ex.run(grid_spec)
-                    assert ex.service._server is None
                     assert ex.service.server_address == srv.address
-            assert len(shared) > 0
-
-    def test_process_backend_through_cache_client(self, fast_config, tiny):
-        """The classic process pool pre-warms from and harvests back to
-        a *remote* cache when its handle is a CacheClient."""
-        spec = SweepSpec.tile_grid(
-            "meta_proto_like_df", tiny, ((4, 4), (16, 16)), MODES[:1]
-        )
-        shared = MappingCache()
-        with CacheServer(cache=shared) as srv:
-            with CacheClient(srv.address) as client:
-                results = Executor(
-                    jobs=2, search_config=fast_config, cache=client
-                ).run(spec)
-            assert len(shared) > 0  # harvest merged into the server
-        serial = Executor(jobs=1, search_config=fast_config).run(spec)
-        for s, p in zip(serial, results):
-            assert s.result.total == p.result.total
+                # Every stored entry was put after a miss in some shard.
+                assert client.misses >= len(shared) > 0

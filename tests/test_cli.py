@@ -654,11 +654,7 @@ class TestDseServiceAndReference:
         assert (
             main(
                 self.DSE_ARGS
-                + [
-                    "--backend", "service",
-                    "--jobs", "2",
-                    "--output", str(service_out),
-                ]
+                + ["--jobs", "2", "--output", str(service_out)]
             )
             == 0
         )
