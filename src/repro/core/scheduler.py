@@ -17,23 +17,52 @@
 Feature maps crossing stack boundaries are placed in the lowest memory
 level they fit (layer-by-layer behaviour) or in DRAM (single-layer
 behaviour), per the strategy's :class:`StackBoundary`.
+
+An evaluation runs in three phases.  *Plan* runs steps 1-4 for every
+stack and lists each computed layer-tile's ``(scaled layer, tops)``
+search problem.  *Solve* hands that list to
+:meth:`~repro.mapping.loma.MappingSearchEngine.solve`, which scores the
+cache misses in grouped kernel calls.  *Assemble* runs step 5's
+searches in plan order (each miss takes its solved winner) and step 6.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..hardware.accelerator import Accelerator
 from ..hardware.memory import MemoryLevel
+from ..mapping.allocation import AllocationError
 from ..mapping.cache import MappingCache
 from ..mapping.cost import CostResult
-from ..mapping.loma import MappingSearchEngine, SearchConfig
+from ..mapping.loma import MappingSearchEngine, SearchConfig, raised_tops
 from ..workloads.graph import WorkloadGraph
 from ..workloads.layer import LayerSpec
-from .backcalc import LayerTileGeometry, TileType, backcalculate
+from .backcalc import LayerTileGeometry, StackTiling, TileType, backcalculate
 from .datacopy import DataCopyAction, copy_cost
 from .memlevels import MemLevelPolicy, TileMemoryPlan, plan_tile_memory
 from .results import ScheduleResult, StackResult, TileTypeResult
 from .stacks import Stack, partition_stacks
 from .strategy import DFStrategy, StackBoundary
+
+
+@dataclass
+class _TilePlan:
+    """One tile type after steps 3-4: its memory plan, data-copy cost
+    and, per computed layer, ``(geometry index, scaled layer, tops)``."""
+
+    tile: TileType
+    plan: TileMemoryPlan
+    copy_cost: CostResult
+    searches: list[tuple[int, LayerSpec, dict[str, int]]]
+
+
+@dataclass
+class _StackPlan:
+    """One stack after steps 2-4, waiting for its mapping searches."""
+
+    tiling: StackTiling
+    tiles: list[_TilePlan]
 
 
 class DepthFirstEngine:
@@ -70,7 +99,23 @@ class DepthFirstEngine:
             per_layer=strategy.one_layer_per_stack,
             fuse_depth=strategy.fuse_depth,
         )
-        return self._evaluate_stacks(workload, strategy, stacks)
+        locations = self._boundary_locations(workload, strategy, stacks)
+        stack_results = self._solve_and_assemble(
+            [
+                self._plan_stack(workload, strategy, stack, locations)
+                for stack in stacks
+            ]
+        )
+        total = CostResult()
+        for sr in stack_results:
+            total.add(sr.total)
+        return ScheduleResult(
+            workload_name=workload.name,
+            accelerator_name=self.accel.name,
+            strategy_label=strategy.describe(),
+            stacks=stack_results,
+            total=total,
+        )
 
     def evaluate_stack(
         self,
@@ -86,32 +131,27 @@ class DepthFirstEngine:
         locations = self._boundary_locations(workload, strategy, [stack])
         if input_locations:
             locations.update(input_locations)
-        return self._evaluate_one_stack(workload, strategy, stack, locations)
+        plan = self._plan_stack(workload, strategy, stack, locations)
+        return self._solve_and_assemble([plan])[0]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _evaluate_stacks(
-        self,
-        workload: WorkloadGraph,
-        strategy: DFStrategy,
-        stacks: list[Stack],
-    ) -> ScheduleResult:
-        locations = self._boundary_locations(workload, strategy, stacks)
-        stack_results = [
-            self._evaluate_one_stack(workload, strategy, stack, locations)
-            for stack in stacks
+    def _solve_and_assemble(self, plans: list[_StackPlan]) -> list[StackResult]:
+        """Steps 5-6 for planned stacks: score every layer-tile's cache
+        miss in grouped calls, then search each layer-tile in plan order
+        (taking the held winners) and accumulate the results."""
+        problems = [
+            (layer, tops)
+            for plan in plans
+            for tile_plan in plan.tiles
+            for _, layer, tops in tile_plan.searches
         ]
-        total = CostResult()
-        for sr in stack_results:
-            total.add(sr.total)
-        return ScheduleResult(
-            workload_name=workload.name,
-            accelerator_name=self.accel.name,
-            strategy_label=strategy.describe(),
-            stacks=stack_results,
-            total=total,
-        )
+        keys = iter(self.mapper.solve(self.accel, problems))
+        try:
+            return [self._assemble_stack(plan, keys) for plan in plans]
+        finally:
+            self.mapper.forget_solved()
 
     def _boundary_locations(
         self,
@@ -185,13 +225,15 @@ class DepthFirstEngine:
                 return idx
         return len(o_hier) - 1
 
-    def _evaluate_one_stack(
+    def _plan_stack(
         self,
         workload: WorkloadGraph,
         strategy: DFStrategy,
         stack: Stack,
         locations: dict[str, int],
-    ) -> StackResult:
+    ) -> _StackPlan:
+        """Steps 2-4 for one stack: tiling, memory plans, data copies and
+        the layer-tile search problems."""
         tiling = backcalculate(
             stack, strategy.mode, strategy.tile_x, strategy.tile_y
         )
@@ -219,8 +261,7 @@ class DepthFirstEngine:
         # window is fetched from the previous stack's location; in
         # recompute modes the whole window is re-fetched every tile, which
         # is exactly the large first-layer copy traffic of Fig. 14(c).
-        tile_results: list[TileTypeResult] = []
-        total = CostResult()
+        tiles = []
         for tile in tiling.tile_types:
             plan = plan_tile_memory(
                 self.accel,
@@ -230,20 +271,16 @@ class DepthFirstEngine:
                 output_dest_idx=out_dest_o,
                 policy=self.policy,
             )
-            result = self._evaluate_tile(stack, tile, plan, ext_location)
-            tile_results.append(result)
-            total.add(result.cost, scale=tile.count)
+            tiles.append(self._plan_tile(stack, tile, plan, ext_location))
+        return _StackPlan(tiling=tiling, tiles=tiles)
 
-        return StackResult(tiling=tiling, tile_results=tile_results, total=total)
-
-    # ------------------------------------------------------------------
-    def _evaluate_tile(
+    def _plan_tile(
         self,
         stack: Stack,
         tile: TileType,
         plan: TileMemoryPlan,
         ext_location: dict[str, int],
-    ) -> TileTypeResult:
+    ) -> _TilePlan:
         wl = stack.workload
         geom_by_name = {g.layer.name: g for g in tile.geometry}
         tops_by_name = {
@@ -254,13 +291,10 @@ class DepthFirstEngine:
         cache_h = plan.cache_level(self.accel, "h")
         cache_v = plan.cache_level(self.accel, "v")
 
-        result = TileTypeResult(tile=tile, plan=plan)
         copy_total = CostResult()
-
+        searches = []
         for idx, geom in enumerate(tile.geometry):
-            layer = geom.layer
             if not geom.is_computed:
-                result.layer_costs.append(CostResult())
                 continue
             tops = plan.layer_tops[idx].tops
             dest = i_hier[tops["I"]]
@@ -272,30 +306,39 @@ class DepthFirstEngine:
                 self._spill_actions(geom, o_hier[tops["O"]], cache_h, cache_v, dest)
             )
             copy_total.add(copy_cost(actions))
+            searches.append((idx, geom.scaled_layer(), tops))
+        return _TilePlan(tile=tile, plan=plan, copy_cost=copy_total, searches=searches)
 
-            result.layer_costs.append(
-                self._search_with_fallback(geom.scaled_layer(), tops)
-            )
+    def _assemble_stack(self, stack_plan: _StackPlan, keys) -> StackResult:
+        tile_results: list[TileTypeResult] = []
+        total = CostResult()
+        for tile_plan in stack_plan.tiles:
+            tile = tile_plan.tile
+            result = TileTypeResult(tile=tile, plan=tile_plan.plan)
+            result.layer_costs = [CostResult() for _ in tile.geometry]
+            for idx, layer, tops in tile_plan.searches:
+                result.layer_costs[idx] = self._search_with_fallback(
+                    layer, tops, next(keys)
+                )
+            result.copy_cost = tile_plan.copy_cost
+            tile_results.append(result)
+            total.add(result.cost, scale=tile.count)
+        return StackResult(
+            tiling=stack_plan.tiling, tile_results=tile_results, total=total
+        )
 
-        result.copy_cost = copy_total
-        return result
-
-    def _search_with_fallback(self, layer: LayerSpec, tops: dict) -> CostResult:
+    def _search_with_fallback(
+        self, layer: LayerSpec, tops: dict, key: str | None = None
+    ) -> CostResult:
         """Run the mapping search, progressively raising O then I to DRAM
-        when the planned tops turn out jointly infeasible (a safety net
-        for rare sharing corner cases the planner's per-layer reservation
-        model cannot see)."""
-        from ..mapping.allocation import AllocationError
-
-        attempts = [dict(tops)]
-        o_top = self.accel.top_level_index("O")
-        i_top = self.accel.top_level_index("I")
-        if tops.get("O") != o_top:
-            attempts.append({**tops, "O": o_top})
-        if tops.get("I") != i_top:
-            attempts.append({**tops, "I": i_top, "O": o_top})
-        last_error: Exception | None = None
-        for attempt in attempts:
+        when the planned tops turn out jointly infeasible (see
+        :func:`~repro.mapping.loma.raised_tops`).  ``key`` is the
+        planned tops' cache key when the caller holds it."""
+        try:
+            return self.mapper.search(layer, self.accel, tops=tops, key=key).cost
+        except AllocationError as exc:
+            last_error = exc
+        for attempt in raised_tops(self.accel, tops):
             try:
                 return self.mapper.search(layer, self.accel, tops=attempt).cost
             except AllocationError as exc:

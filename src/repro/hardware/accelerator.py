@@ -105,19 +105,56 @@ class Accelerator:
     # ------------------------------------------------------------------
     # Memory hierarchy
     # ------------------------------------------------------------------
+    def _memo(self, name: str, build):
+        """Per-instance memo for derived tables: a frozen accelerator's
+        levels never change, so each table is built once.  Memos live in
+        ``__dict__`` and are dropped on pickling (:meth:`__getstate__`);
+        ``dataclasses.replace`` builds a fresh instance without them."""
+        cached = self.__dict__.get(name)
+        if cached is None:
+            cached = build()
+            object.__setattr__(self, name, cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # The level-rank memo is keyed by id(), which an unpickled copy
+        # does not share; every memo is cheap to rebuild.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
     def hierarchy(self, operand: str) -> tuple[MemoryLevel, ...]:
         """The operand's memory levels, lowest first, DRAM last."""
-        if operand not in OPERANDS:
+        hierarchy = self._memo("_hierarchies", self._build_hierarchies).get(operand)
+        if hierarchy is None:
             raise ValueError(f"unknown operand {operand!r}")
-        return tuple(lvl for lvl in self.levels if lvl.serves(operand))
+        return hierarchy
+
+    def _build_hierarchies(self) -> dict[str, tuple[MemoryLevel, ...]]:
+        return {
+            op: tuple(lvl for lvl in self.levels if lvl.serves(op))
+            for op in OPERANDS
+        }
 
     def top_level_index(self, operand: str) -> int:
         """Index of DRAM in the operand's hierarchy."""
-        return len(self.hierarchy(operand)) - 1
+        tops = self._memo(
+            "_top_indices",
+            lambda: {op: len(self.hierarchy(op)) - 1 for op in OPERANDS},
+        )
+        if operand not in tops:
+            raise ValueError(f"unknown operand {operand!r}")
+        return tops[operand]
 
     def level_rank(self, level: MemoryLevel) -> int:
         """Global position of a level (for cross-operand comparisons and
         Fig. 9-style 'Reg < LB < GB < DRAM' reporting)."""
+        ranks = self._memo(
+            "_level_ranks",
+            lambda: {id(lvl): self._scan_rank(lvl) for lvl in self.levels},
+        )
+        rank = ranks.get(id(level))
+        return rank if rank is not None else self._scan_rank(level)
+
+    def _scan_rank(self, level: MemoryLevel) -> int:
         for rank, candidate in enumerate(self.levels):
             if candidate is level or candidate == level:
                 return rank
@@ -135,11 +172,10 @@ class Accelerator:
         bandwidth limits through this on every mapping evaluation, so the
         table is built once per accelerator, not once per call (the
         instances of a frozen accelerator never change)."""
-        cached = self.__dict__.get("_instances_by_uid")
-        if cached is None:
-            cached = {inst.uid: inst for inst in self.instances()}
-            object.__setattr__(self, "_instances_by_uid", cached)
-        return cached
+        return self._memo(
+            "_instances_by_uid",
+            lambda: {inst.uid: inst for inst in self.instances()},
+        )
 
     def on_chip_capacity_bytes(self) -> int:
         """Total on-chip memory capacity (excludes DRAM)."""

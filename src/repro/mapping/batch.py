@@ -3,15 +3,19 @@
 The scalar reference path (:func:`~repro.mapping.allocation.allocate` +
 :func:`~repro.mapping.zigzag.evaluate_mapping`) scores one ordering at a
 time; every DSE generation, sweep point and service job bottoms out in
-that loop.  This module scores the *full candidate list* of one
-``(layer, accelerator, tops)`` search problem in one set of numpy array
-operations and is selected by ``SearchConfig(engine="batch")`` — the
-default.  See DESIGN.md §2.2 for the axis-by-axis mapping to the §2.1
-cost formulas; the layout in brief:
+that loop.  This module scores the *full candidate lists* of a group of
+search problems in one set of numpy array operations and is selected by
+``SearchConfig(engine="batch")`` — the default.  The problems of a group
+share the accelerator, the tops, the active operands, the loop count
+and whether ``K`` indexes ``I``; every other layer parameter (loop
+sizes, spatial use, strides, dilations, input spans, precisions, loop
+total) is a per-row column.  See DESIGN.md §2.2 for the axis-by-axis
+mapping to the §2.1 cost formulas; the layout in brief:
 
-* axis 0 — the candidate (ordering) index, leading axis of every array;
+* axis 0 — the row: one candidate ordering of one problem, leading axis
+  of every array;
 * axis 1 — the loop-prefix position ``p`` (0..n): cumulative dimension
-  products ``P[c, p, d]``, prefix factor products ``PF[c, p]`` and the
+  products ``P[r, p, d]``, prefix factor products ``PF[r, p]`` and the
   per-prefix resident footprints are all indexed by it;
 * axis 2 — the loop dimension, in :data:`~repro.mapping.temporal.DIMS`
   order.
@@ -22,7 +26,9 @@ length of the leading all-true run of ``resident[p] <= available``,
 computed with a boolean cumulative product.  Stationarity credits use
 the same scan over operand-irrelevant loop runs.  Candidates whose
 multiset does not fit the truncated hierarchy are *masked out* in
-:attr:`BatchEvaluation.feasible` instead of raising per ordering.
+:attr:`BatchEvaluation.feasible` instead of raising per ordering.  Each
+problem's outcome comes from its own rows only, so a group member gets
+exactly what scoring it alone gives.
 
 **Bit-identity contract.**  Every float the scalar path produces is
 reproduced exactly: array expressions mirror the scalar expressions
@@ -37,6 +43,8 @@ so caches, checkpoints and golden fixtures stay byte-compatible.
 
 from __future__ import annotations
 
+import itertools
+from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 try:  # gated: the scalar engine keeps working without numpy
@@ -46,12 +54,7 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching
 
 from ..hardware.accelerator import Accelerator
 from ..workloads.layer import LayerSpec
-from .allocation import (
-    PRIORITY,
-    AllocationError,
-    active_operands,
-    reserve_top_levels,
-)
+from .allocation import PRIORITY, active_operands
 from .cost import CostResult, TrafficKey, resolve_objective
 from .loops import Loop
 from .temporal import (
@@ -64,7 +67,6 @@ from .temporal import (
     operand_footprint_elems,
     utilized_spatial,
 )
-from .zigzag import spatial_relevant
 
 #: Largest integer exactly representable as a float64; counts at or
 #: beyond it could round differently than Python ints, so the batch
@@ -91,6 +93,49 @@ def _require_numpy() -> None:
         raise RuntimeError(NUMPY_ERROR)
 
 
+class CandidateRows:
+    """Candidate orderings of one or more search problems as integer rows.
+
+    Each problem's distinct loops, sorted, form its symbol ``table``; a
+    row names, innermost first, the symbol of each loop of one ordering.
+    ``rows`` holds every problem's rows back to back, in problem order,
+    and ``counts`` how many each problem has.  ``len()`` is the number
+    of rows, i.e. of orderings scored.
+    """
+
+    def __init__(
+        self,
+        tables: Sequence[tuple[Loop, ...]],
+        rows: list[tuple[int, ...]],
+        counts: Sequence[int],
+    ) -> None:
+        self.tables = tuple(tables)
+        self.rows = rows
+        self.counts = tuple(counts)
+
+    @classmethod
+    def from_orderings(
+        cls, candidates: Sequence[tuple[Loop, ...]]
+    ) -> "CandidateRows":
+        """One problem's rows from loop-tuple orderings, which must all
+        permute the first one's loop multiset."""
+        if not candidates:
+            raise ValueError("no candidate orderings to evaluate")
+        table = tuple(sorted(set(candidates[0])))
+        index = {loop: symbol for symbol, loop in enumerate(table)}
+        n = len(candidates[0])
+        try:
+            rows = [tuple(index[loop] for loop in c) for c in candidates]
+        except KeyError:
+            rows = []
+        if len(rows) != len(candidates) or any(len(r) != n for r in rows):
+            raise ValueError("candidates must be permutations of one loop multiset")
+        return cls((table,), rows, (len(rows),))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 class BatchEvaluation:
     """All candidate orderings of one search problem, scored as arrays.
 
@@ -99,7 +144,9 @@ class BatchEvaluation:
     ``(reads, writes, energy)`` triple of ``(C,)`` arrays keyed exactly
     like the scalar :class:`~repro.mapping.cost.CostResult` (and in the
     same insertion order, so summed objectives accumulate identically).
-    :attr:`feasible` masks orderings that do not allocate.
+    :attr:`feasible` masks orderings that do not allocate.  Candidates
+    are integer rows over the symbol ``table`` (see
+    :class:`CandidateRows`).
     """
 
     def __init__(
@@ -107,7 +154,8 @@ class BatchEvaluation:
         layer: LayerSpec,
         accel: Accelerator,
         tops: Mapping[str, int],
-        candidates: Sequence[tuple[Loop, ...]],
+        table: tuple[Loop, ...],
+        rows: Sequence[tuple[int, ...]],
         feasible,
         boundaries: Mapping[str, object],
         latency,
@@ -119,7 +167,8 @@ class BatchEvaluation:
         self.layer = layer
         self.accel = accel
         self.tops = dict(tops)
-        self.candidates = list(candidates)
+        self.table = table
+        self.rows = rows
         self.feasible = feasible
         self.boundaries = boundaries
         self.latency = latency
@@ -132,21 +181,30 @@ class BatchEvaluation:
     @property
     def count(self) -> int:
         """Number of candidate orderings (feasible or not)."""
-        return len(self.candidates)
+        return len(self.rows)
 
     @property
     def evaluated(self) -> int:
         """Number of feasible (scored) orderings."""
         return int(self.feasible.sum())
 
+    def ordering(self, index: int) -> tuple[Loop, ...]:
+        """Candidate ``index`` as a loop tuple, innermost first."""
+        table = self.table
+        return tuple(table[symbol] for symbol in self.rows[index])
+
+    @property
+    def candidates(self) -> list[tuple[Loop, ...]]:
+        """Every candidate as a loop tuple."""
+        return [self.ordering(i) for i in range(self.count)]
+
     # ------------------------------------------------------------------
     def mapping(self, index: int) -> TemporalMapping:
         """Materialize candidate ``index``'s allocated temporal mapping."""
         bounds = {
-            op: tuple(int(b) for b in rows[index])
-            for op, rows in self.boundaries.items()
+            op: tuple(rows[index].tolist()) for op, rows in self.boundaries.items()
         }
-        return TemporalMapping(loops=self.candidates[index], boundaries=bounds)
+        return TemporalMapping(loops=self.ordering(index), boundaries=bounds)
 
     def cost_result(self, index: int) -> CostResult:
         """Materialize candidate ``index``'s cost (scalar-path identical)."""
@@ -183,19 +241,19 @@ class BatchEvaluation:
     def best_index(self, objective) -> int | None:
         """Index of the winning feasible candidate, or ``None``.
 
-        Replicates the scalar scan exactly: first strictly-smaller score
-        wins, so ties keep the earliest candidate.
+        A masked first-argmin that returns what the scalar scan ("first
+        strictly smaller score wins") returns: ties keep the earliest
+        candidate, a NaN score in the first feasible position wins (no
+        score is smaller than NaN) and a later NaN never wins.
         """
-        if not self.evaluated:
+        feasible = np.flatnonzero(self.feasible)
+        if not feasible.size:
             return None
-        s = self.scores(objective)
-        best: int | None = None
-        for i in range(self.count):
-            if not self.feasible[i]:
-                continue
-            if best is None or s[i] < s[best]:
-                best = i
-        return best
+        s = self.scores(objective)[feasible]
+        nan = np.isnan(s)
+        if nan[0]:
+            return int(feasible[0])
+        return int(feasible[np.argmin(np.where(nan, np.inf, s))])
 
 
 # ----------------------------------------------------------------------
@@ -252,112 +310,236 @@ _SCORERS: dict[str, Callable[[BatchEvaluation], object]] = {
 # ----------------------------------------------------------------------
 # Builder
 # ----------------------------------------------------------------------
-def evaluate_candidates(
-    layer: LayerSpec,
-    accel: Accelerator,
-    tops: Mapping[str, int],
-    candidates: Sequence[tuple[Loop, ...]],
-) -> BatchEvaluation:
-    """Allocate and score every candidate ordering in array operations.
+#: Per-problem layer parameters, one column each after the loop sizes
+#: and the utilized spatial unrolls (both in ``DIMS`` order).
+_SIZES = slice(0, len(DIMS))
+_SPATIAL = slice(len(DIMS), 2 * len(DIMS))
+_PARAMS = ("sx", "sy", "dx", "dy", "ix", "iy", "w_bits", "act_bits", "psum_bits")
+_COLUMN = {name: 2 * len(DIMS) + i for i, name in enumerate(_PARAMS)}
+#: Column of the loop total (product of all temporal loop factors).
+_TOTAL = 2 * len(DIMS) + len(_PARAMS)
+#: Precision of each operand's elements (``LayerSpec.operand_bits``) and
+#: of its sub-top residencies (outputs below their top hold psums).
+_OPERAND_BITS = {"W": "w_bits", "I": "act_bits", "O": "act_bits"}
+_RESIDENT_BITS = {"W": "w_bits", "I": "act_bits", "O": "psum_bits"}
 
-    All candidates must permute one loop multiset (LOMA's enumeration
-    guarantees this), which makes the full-footprint feasibility check
-    and all total products candidate-independent.  Raises
+
+def evaluate_candidates(layer, accel: Accelerator, tops: Mapping[str, int], candidates):
+    """Allocate and score candidate orderings in array operations.
+
+    The plain call scores one search problem: ``layer`` is a
+    :class:`LayerSpec` and ``candidates`` its orderings as loop tuples,
+    all permuting one loop multiset (LOMA's enumeration guarantees
+    this).  It returns the :class:`BatchEvaluation` and raises
     :class:`BatchFallback` when exact float reproduction cannot be
-    guaranteed and ``RuntimeError`` when numpy is unavailable.
+    guaranteed.
+
+    The grouped call scores several problems in one pass: ``layer`` is
+    a sequence of layers and ``candidates`` a :class:`CandidateRows`
+    with one problem per layer.  The problems share ``tops``, their
+    active operands, their loop count and whether ``K`` indexes ``I``;
+    everything else is a per-row parameter.  It returns one outcome per
+    problem, in order: the :class:`BatchEvaluation` or the
+    :class:`BatchFallback` the plain call would give that problem alone.
+
+    Both raise ``RuntimeError`` when numpy is unavailable.
     """
     _require_numpy()
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("no candidate orderings to evaluate")
-    n = len(candidates[0])
-    if any(len(c) != n for c in candidates):
-        raise ValueError("candidates must be permutations of one loop multiset")
-    count = len(candidates)
-    spatial = utilized_spatial(layer, accel)
+    if isinstance(layer, LayerSpec):
+        rows = CandidateRows.from_orderings(list(candidates))
+        (outcome,) = _score_group((layer,), accel, tops, rows)
+        if isinstance(outcome, BatchFallback):
+            raise outcome
+        return outcome
+    return _score_group(tuple(layer), accel, tops, candidates)
 
-    # ------------------------------------------------------------------
-    # Exactness guards (python ints, before any float64 enters).
-    # ------------------------------------------------------------------
+
+def _parameters(
+    layer: LayerSpec, accel: Accelerator, table, first: tuple[int, ...]
+) -> "list[int] | BatchFallback":
+    """One problem's parameter row, or the :class:`BatchFallback` its
+    exactness guards raise (python ints, before any float64 enters)."""
     total_iter = 1
-    for _dim, factor in candidates[0]:
-        total_iter *= factor
+    for symbol in first:
+        total_iter *= table[symbol][1]
+    spatial = utilized_spatial(layer, accel)
     sp_prod = 1
     for unroll in spatial.values():
         sp_prod *= unroll
     if total_iter >= 1 << 53 or total_iter * sp_prod >= 1 << 62:
-        raise BatchFallback(f"{layer.name}: loop volume beyond exact float64")
-    full_products = merge_products(
-        cumulative_dim_products(candidates[0], n), spatial
+        return BatchFallback(f"{layer.name}: loop volume beyond exact float64")
+    # Every footprint is bounded by its operand's size, so only layers
+    # that large need the exact check.
+    bound = max(
+        layer.weight_count,
+        layer.output_count,
+        layer.c * layer.k * abs(layer.ix) * abs(layer.iy),
     )
-    final_elems: dict[str, int] = {}
-    for op in active_operands(layer):
-        final_elems[op] = operand_footprint_elems(layer, op, full_products)
-        if final_elems[op] >= 1 << 53:
-            raise BatchFallback(f"{layer.name}/{op}: footprint beyond exact float64")
+    if bound >= 1 << 53:
+        loops = tuple(table[symbol] for symbol in first)
+        full = merge_products(cumulative_dim_products(loops, len(loops)), spatial)
+        for op in active_operands(layer):
+            if operand_footprint_elems(layer, op, full) >= 1 << 53:
+                return BatchFallback(
+                    f"{layer.name}/{op}: footprint beyond exact float64"
+                )
+    sizes = layer.loop_sizes
+    return (
+        [sizes[d] for d in DIMS]
+        + [spatial.get(d, 1) for d in DIMS]
+        + [getattr(layer, name) for name in _PARAMS]
+        + [total_iter]
+    )
 
-    # ------------------------------------------------------------------
-    # Phase 1: full-footprint reservation (candidate-independent).
-    # ------------------------------------------------------------------
-    try:
-        used0 = reserve_top_levels(layer, accel, tops, candidates[0], spatial)
-    except AllocationError:
-        return BatchEvaluation(
-            layer, accel, tops, candidates,
-            feasible=np.zeros(count, dtype=bool),
-            boundaries={}, latency=np.zeros(count), traffic={},
-            mac_count=layer.mac_count,
-            mac_energy_pj=layer.mac_count * accel.mac_energy_pj,
-            compute_cycles=total_iter,
+
+def _score_group(
+    layers: tuple[LayerSpec, ...],
+    accel: Accelerator,
+    tops: Mapping[str, int],
+    cands: CandidateRows,
+) -> list:
+    """The grouped kernel behind :func:`evaluate_candidates`: one outcome
+    per problem, each from that problem's own rows."""
+    if len(layers) != len(cands.counts) or sum(cands.counts) != len(cands.rows):
+        raise ValueError("candidate rows must hold one problem per layer")
+    if not layers or any(count < 1 for count in cands.counts):
+        raise ValueError("no candidate orderings to evaluate")
+    outcomes: list = [None] * len(layers)
+    live: list[int] = []  # problems scored in the arrays
+    starts: list[int] = []  # their first rows in the cands.rows order
+    params: list[list[int]] = []
+    shared = None
+    start = 0
+    for p, (layer, table, count) in enumerate(
+        zip(layers, cands.tables, cands.counts)
+    ):
+        first = cands.rows[start]
+        signature = (
+            active_operands(layer),
+            "K" in layer.relevant_dims("I"),
+            len(first),
         )
+        if shared is None:
+            shared = signature
+        elif signature != shared:
+            raise ValueError(
+                "grouped problems must share active operands, loop count "
+                "and whether K indexes I"
+            )
+        row = _parameters(layer, accel, table, first)
+        if isinstance(row, BatchFallback):
+            outcomes[p] = row
+        else:
+            live.append(p)
+            starts.append(start)
+            params.append(row)
+        start += count
+    operands, _, n = shared
+    in_range = all(
+        0 <= tops.get(op, len(accel.hierarchy(op)) - 1) < len(accel.hierarchy(op))
+        for op in operands
+    )
+    if not in_range:  # reserve_top_levels raises for every problem
+        for p, first_row, row in zip(live, starts, params):
+            outcomes[p] = _infeasible(
+                layers[p], accel, tops, cands.tables[p],
+                cands.rows[first_row : first_row + cands.counts[p]], row[_TOTAL],
+            )
+    if not live or not in_range:
+        return outcomes
 
     # ------------------------------------------------------------------
-    # Candidate tensors: P[c, p, d], PF[c, p], suffix[c, p].
+    # Per-row parameters and candidate tensors: P[r, p, d], PF[r, p],
+    # suffix[r, p].  Row r belongs to live problem pid[r].
     # ------------------------------------------------------------------
-    dims_idx = np.fromiter(
-        (DIM_INDEX[dim] for cand in candidates for dim, _ in cand),
-        dtype=np.int64, count=count * n,
+    counts = [cands.counts[p] for p in live]
+    if len(live) == len(layers):
+        rows = cands.rows
+    else:
+        rows = [
+            row for s, c in zip(starts, counts) for row in cands.rows[s : s + c]
+        ]
+    count = len(rows)
+    pid = np.repeat(np.arange(len(live)), counts)
+    param = np.array(params, dtype=np.int64)[pid]
+    column = {name: param[:, i] for name, i in _COLUMN.items()}
+    sym_base, sym_dim, sym_factor = [], [], []
+    for p in live:
+        sym_base.append(len(sym_dim))
+        sym_dim.extend(DIM_INDEX[dim] for dim, _ in cands.tables[p])
+        sym_factor.extend(factor for _, factor in cands.tables[p])
+    symbols = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.int64, count=count * n
     ).reshape(count, n)
-    factors = np.fromiter(
-        (factor for cand in candidates for _, factor in cand),
-        dtype=np.int64, count=count * n,
-    ).reshape(count, n)
-    one_hot = dims_idx[:, :, None] == np.arange(len(DIMS))
-    step = np.where(one_hot, factors[:, :, None], 1)
-    ones_dim = np.ones((count, 1, len(DIMS)), dtype=np.int64)
-    P = np.concatenate([ones_dim, np.cumprod(step, axis=1)], axis=1)
+    symbols += np.array(sym_base, dtype=np.int64)[pid][:, None]
+    dims_idx = np.array(sym_dim, dtype=np.int64)[symbols]
+    factors = np.array(sym_factor, dtype=np.int64)[symbols]
+    rowidx = np.arange(count)
+    flat = rowidx * (n + 1)
+
+    def at(table, cols):
+        """``table[r, cols[r]]`` for every row of an (R, n+1) table."""
+        return table.ravel()[flat + cols]
+
+    P = np.empty((count, n + 1, len(DIMS)), dtype=np.int64)
+    P[:, 0] = 1
+    for i in range(n):
+        P[:, i + 1] = P[:, i]
+        P[rowidx, i + 1, dims_idx[:, i]] *= factors[:, i]
     PF = np.concatenate(
         [np.ones((count, 1), dtype=np.int64), np.cumprod(factors, axis=1)],
         axis=1,
     )
-    suffix = total_iter // PF  # exact: PF divides the total product
+    total_iter = param[:, _TOTAL]
+    iterations = total_iter.astype(np.float64)
+    suffix = total_iter[:, None] // PF  # exact: PF divides the total product
 
-    sizes = layer.loop_sizes
-    sizes_vec = np.array([sizes[d] for d in DIMS], dtype=np.int64)
-    spatial_vec = np.array([spatial.get(d, 1) for d in DIMS], dtype=np.int64)
-    clamp_plain = np.minimum(P, sizes_vec)
-    clamp_merged = np.minimum(P * spatial_vec, sizes_vec)
+    sizes = param[:, None, _SIZES]
+    spatial = param[:, _SPATIAL]
+    clamp_plain = np.minimum(P, sizes)
+    clamp_merged = np.minimum(P * spatial[:, None, :], sizes)
 
-    operands = active_operands(layer)
+    # The footprint formulas read each row's geometry; relevance is
+    # shared by the group.
+    geometry = SimpleNamespace(
+        relevant_dims=layers[live[0]].relevant_dims,
+        **{name: column[name][:, None] for name in _PARAMS},
+    )
 
-    def footprints(clamped) -> dict[str, "np.ndarray"]:
-        out = {}
-        for op in operands:
-            def get(dim: str, _c=clamped):
-                return _c[:, :, DIM_INDEX[dim]]
+    def footprints(get_dim) -> dict[str, "np.ndarray"]:
+        return {
+            op: operand_footprint(geometry, op, get_dim, minimum=np.minimum)
+            for op in operands
+        }
 
-            out[op] = operand_footprint(layer, op, get, minimum=np.minimum)
-        return out
+    # Per-PE levels see no spatial merge; shared levels and the cost
+    # model do.  Column n is the full (ordering-independent) footprint.
+    elems_plain = footprints(lambda dim: clamp_plain[:, :, DIM_INDEX[dim]])
+    elems_merged = footprints(lambda dim: clamp_merged[:, :, DIM_INDEX[dim]])
 
-    elems_plain = footprints(clamp_plain)    # per-PE levels: no spatial merge
-    elems_merged = footprints(clamp_merged)  # shared levels + cost model
+    # ------------------------------------------------------------------
+    # Phase 1: full-footprint reservation of every operand's top level
+    # (``reserve_top_levels`` per row).  A problem that does not fit is
+    # infeasible in every ordering.
+    # ------------------------------------------------------------------
+    infeasible = np.zeros(count, dtype=bool)
+    used: dict[int, "np.ndarray"] = {}
+    for op in operands:
+        hierarchy = accel.hierarchy(op)
+        inst = hierarchy[tops.get(op, len(hierarchy) - 1)].instance
+        if inst.is_dram:
+            continue
+        elems = (elems_plain if inst.per_pe else elems_merged)[op][:, n]
+        resident = elems * column[_OPERAND_BITS[op]] / 8.0
+        already = used.get(inst.uid, 0.0)
+        infeasible |= resident + already > inst.size_bytes
+        if not inst.per_pe:
+            used[inst.uid] = already + resident
 
     # ------------------------------------------------------------------
     # Phase 2: greedy boundary placement as prefix scans.
     # ------------------------------------------------------------------
-    used: dict[int, "np.ndarray"] = {
-        uid: np.full(count, value) for uid, value in used0.items()
-    }
+    zeros = np.zeros(count)
     n_col = np.full(count, n, dtype=np.int64)
     pos = np.arange(1, n + 1)
     boundaries: dict[str, "np.ndarray"] = {}
@@ -366,8 +548,8 @@ def evaluate_candidates(
             boundaries[op] = n_col[:, None]
             continue
         hierarchy = accel.hierarchy(op)
-        top = tops.get(op, len(hierarchy) - 1)
-        levels = hierarchy[: top + 1]
+        levels = hierarchy[: tops.get(op, len(hierarchy) - 1) + 1]
+        bits = column[_RESIDENT_BITS[op]][:, None]
         cols = []
         prev = np.zeros(count, dtype=np.int64)
         for idx, level in enumerate(levels):
@@ -375,27 +557,25 @@ def evaluate_candidates(
                 cols.append(n_col)
                 break
             inst = level.instance
-            avail = inst.size_bytes - used.get(inst.uid, np.zeros(count))
+            avail = inst.size_bytes - used.get(inst.uid, zeros)
             elems = (elems_plain if inst.per_pe else elems_merged)[op]
-            bits = layer.psum_bits if op == "O" else layer.operand_bits(op)
-            resident = elems * bits / 8.0  # (C, n+1) float64, scalar-exact
+            resident = elems * bits / 8.0  # (R, n+1) float64, scalar-exact
             # Greedy walk == length of the leading run of prefixes that
             # still fit (positions at or below the previous boundary
             # count as already taken).
             fits = resident[:, 1:] <= avail[:, None]
             taken = fits | (pos[None, :] <= prev[:, None])
             bound = np.cumprod(taken, axis=1, dtype=np.int64).sum(axis=1)
-            at_bound = np.take_along_axis(resident, bound[:, None], axis=1)[:, 0]
             if not inst.per_pe:
-                used[inst.uid] = used.get(inst.uid, np.zeros(count)) + np.minimum(
-                    at_bound, avail
+                used[inst.uid] = used.get(inst.uid, zeros) + np.minimum(
+                    at(resident, bound), avail
                 )
             cols.append(bound)
             prev = bound
         boundaries[op] = np.stack(cols, axis=1)
 
     # ------------------------------------------------------------------
-    # Cost model (§2.1), candidate axis leading everywhere.
+    # Cost model (§2.1), row axis leading everywhere.
     # ------------------------------------------------------------------
     traffic: dict[TrafficKey, list] = {}
 
@@ -408,23 +588,18 @@ def evaluate_candidates(
         return arrays
 
     bytes_demand: dict[int, object] = {}
-    iterations = total_iter
+    beyond = np.zeros(count, dtype=bool)
+    psum_bytes = column["psum_bits"] / 8.0
 
-    for op in ("W", "I", "O"):
-        if op == "W" and layer.weight_count == 0:
-            continue
+    for op in operands:  # W, I, O order: weight-less layers skip W
         hierarchy = accel.hierarchy(op)
-        top = tops.get(op, len(hierarchy) - 1)
-        levels = hierarchy[: top + 1]
-        act_bytes = layer.operand_bits(op) / 8.0
-        psum_bytes = layer.psum_bits / 8.0
+        levels = hierarchy[: tops.get(op, len(hierarchy) - 1) + 1]
+        act_bytes = column[_OPERAND_BITS[op]] / 8.0
 
-        # Datapath boundary: array <-> level 0 (candidate-independent,
-        # broadcast into the candidate-axis accumulators).
+        # Datapath boundary: array <-> level 0.
         level0 = levels[0]
         inst0 = level0.instance
-        wave_elems = spatial_relevant(layer, op, spatial)
-        datapath_elems = iterations * wave_elems
+        datapath_elems = iterations * _wave_elems(geometry, op, spatial, column)
         e0 = entry(op, level0.name)
         if op == "O":
             e0[0] += datapath_elems
@@ -443,31 +618,23 @@ def evaluate_candidates(
             )
 
         # Inter-level boundaries.
-        final = final_elems[op]
-        relevant = layer.relevant_dims(op)
+        final = elems_merged[op][:, n]
+        relevant = geometry.relevant_dims(op)
         rel_tab = np.array([d in relevant for d in DIMS])
-        irrelevant = ~rel_tab[dims_idx]  # (C, n)
+        irrelevant = ~rel_tab[dims_idx]  # (R, n)
         for levelidx in range(1, len(levels)):
             lower = levels[levelidx - 1]
             upper = levels[levelidx]
             prefix = boundaries[op][:, levelidx - 1]
-            above = np.take_along_axis(suffix, prefix[:, None], axis=1)[:, 0]
+            above = at(suffix, prefix)
             # Stationarity credit: contiguous irrelevant run above the
             # boundary, as a prefix-product ratio.
             run_ok = (np.arange(n)[None, :] < prefix[:, None]) | irrelevant
             run = np.cumprod(run_ok, axis=1, dtype=np.int64).sum(axis=1)
-            credit = (
-                np.take_along_axis(PF, run[:, None], axis=1)[:, 0]
-                // np.take_along_axis(PF, prefix[:, None], axis=1)[:, 0]
-            )
-            resident = np.take_along_axis(
-                elems_merged[op], prefix[:, None], axis=1
-            )[:, 0]
+            credit = at(PF, run) // at(PF, prefix)
+            resident = at(elems_merged[op], prefix)
             product = resident.astype(np.float64) * above.astype(np.float64)
-            if product.size and float(product.max()) >= _EXACT:
-                raise BatchFallback(
-                    f"{layer.name}/{op}: crossings beyond exact float64"
-                )
+            beyond |= product >= _EXACT
             crossings = product / credit
 
             le = entry(op, lower.name)
@@ -509,15 +676,75 @@ def evaluate_candidates(
         if inst.bandwidth_bytes <= 0 or inst.bandwidth_bytes == float("inf"):
             continue
         stall_limited = np.maximum(stall_limited, demand / inst.bandwidth_bytes)
-    latency = np.maximum(np.full(count, float(iterations)), stall_limited)
+    latency = np.maximum(iterations, stall_limited)
 
+    # Each problem's outcome from its own rows: an infeasible
+    # reservation first, then the crossing-count guard.
+    first_rows = np.cumsum([0] + counts[:-1])
+    beyond = np.logical_or.reduceat(beyond, first_rows)
+    traffic_arrays = {key: tuple(arrays) for key, arrays in traffic.items()}
+    for j, p in enumerate(live):
+        layer, count = layers[p], counts[j]
+        member_rows = cands.rows[starts[j] : starts[j] + count]
+        if infeasible[first_rows[j]]:
+            outcomes[p] = _infeasible(
+                layer, accel, tops, cands.tables[p], member_rows, params[j][_TOTAL]
+            )
+        elif beyond[j]:
+            outcomes[p] = BatchFallback(
+                f"{layer.name}: crossings beyond exact float64"
+            )
+        else:
+            at = slice(int(first_rows[j]), int(first_rows[j]) + count)
+            outcomes[p] = BatchEvaluation(
+                layer, accel, tops, cands.tables[p], member_rows,
+                feasible=np.ones(count, dtype=bool),
+                boundaries={op: b[at] for op, b in boundaries.items()},
+                latency=latency[at],
+                traffic={
+                    key: (reads[at], writes[at], energy[at])
+                    for key, (reads, writes, energy) in traffic_arrays.items()
+                },
+                mac_count=layer.mac_count,
+                mac_energy_pj=layer.mac_count * accel.mac_energy_pj,
+                compute_cycles=params[j][_TOTAL],
+            )
+    return outcomes
+
+
+def _infeasible(layer, accel, tops, table, rows, total_iter) -> BatchEvaluation:
+    """The evaluation of a problem whose full footprints do not fit its
+    top levels: every ordering is infeasible."""
+    count = len(rows)
     return BatchEvaluation(
-        layer, accel, tops, candidates,
-        feasible=np.ones(count, dtype=bool),
-        boundaries=boundaries,
-        latency=latency,
-        traffic={key: tuple(arrays) for key, arrays in traffic.items()},
+        layer, accel, tops, table, rows,
+        feasible=np.zeros(count, dtype=bool),
+        boundaries={}, latency=np.zeros(count), traffic={},
         mac_count=layer.mac_count,
         mac_energy_pj=layer.mac_count * accel.mac_energy_pj,
-        compute_cycles=iterations,
+        compute_cycles=total_iter,
     )
+
+
+def _wave_elems(geometry, op: str, spatial, column) -> "np.ndarray":
+    """Per-row operand elements fetched per spatial wave: the array
+    mirror of :func:`~repro.mapping.zigzag.spatial_relevant`."""
+    relevant = geometry.relevant_dims(op)
+    one = np.ones((len(spatial), 1), dtype=np.int64)
+
+    def get(dim: str):
+        return spatial[:, DIM_INDEX[dim], None] if dim in relevant else one
+
+    elems = operand_footprint(geometry, op, get, minimum=np.minimum)[:, 0]
+    if op != "I":
+        return elems.astype(np.float64)
+
+    def axis_discount(o_dim, f_dim, stride, full):
+        o_sp = spatial[:, DIM_INDEX[o_dim]]
+        span = np.minimum((o_sp - 1) * stride + spatial[:, DIM_INDEX[f_dim]], full)
+        advance = np.minimum(o_sp * stride, span)
+        return np.where(span != 0, advance / np.where(span != 0, span, 1), 1.0)
+
+    discount = axis_discount("OX", "FX", column["sx"], column["ix"])
+    discount = discount * axis_discount("OY", "FY", column["sy"], column["iy"])
+    return elems * discount

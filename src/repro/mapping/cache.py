@@ -35,22 +35,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from .cost import CostResult, Traffic
-from .loma import SearchResult
+from .loma import SearchResult, normalize_key
 from .temporal import TemporalMapping
 
 #: On-disk format version; bump when the entry encoding changes.
 FORMAT_VERSION = 1
-
-
-def normalize_key(key: Hashable) -> str:
-    """Canonical string form of a structured cache key.
-
-    Keys are built from primitives and nested tuples only; JSON encoding
-    (tuples become arrays) gives a stable, process-independent identity.
-    """
-    if isinstance(key, str):
-        return key
-    return json.dumps(key, separators=(",", ":"))
 
 
 def encode_search_result(result: SearchResult) -> dict:

@@ -14,19 +14,28 @@ This module reimplements that search with two pragmatic additions:
 
 Results are memoized: DeFiNES evaluates identical layer-tile shapes many
 times across tile types and sweep points.
+
+Candidates are integer rows over a problem's sorted distinct loops
+(:class:`~repro.mapping.batch.CandidateRows`): the lexicographic
+permutation order depends only on the loops' multiplicity pattern, so
+the permutation rows are memoized per pattern.  :meth:`~MappingSearchEngine.solve`
+scores many problems' cache misses in grouped kernel calls ahead of
+their searches (DESIGN.md §2.2).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Mapping
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 from .. import obs
 from ..hardware.accelerator import Accelerator
 from ..workloads.layer import LayerSpec
-from .allocation import AllocationError, allocate
-from .batch import BatchFallback, evaluate_candidates
+from .allocation import AllocationError, active_operands, allocate
+from .batch import BatchFallback, CandidateRows, evaluate_candidates
 from .cost import CostResult, Objective, resolve_objective
 from .loops import Loop, lpf_decompose, multiset_permutations
 from .temporal import TemporalMapping, temporal_sizes
@@ -34,6 +43,11 @@ from .zigzag import evaluate_mapping
 
 #: Valid values of :attr:`SearchConfig.engine`.
 ENGINES = ("batch", "scalar")
+
+#: Most candidate rows one grouped scoring call takes (a problem with
+#: more rows is scored alone).  The cap bounds the kernel's temporaries:
+#: uncapped groups raised peak memory by half on cold sweeps.
+GROUP_ROWS = 1024
 
 if TYPE_CHECKING:  # imported lazily at runtime (cache.py imports this module)
     from .cache import MappingCache
@@ -121,6 +135,96 @@ def _canonical_orderings(loops: list[Loop]) -> list[tuple[Loop, ...]]:
     return orderings
 
 
+@functools.lru_cache(maxsize=256)
+def _permutation_rows(pattern: tuple[int, ...], limit: int) -> tuple:
+    """The first ``limit`` lexicographic permutations of the multiset
+    holding symbol ``s`` ``pattern[s]`` times.  Every loop multiset with
+    this multiplicity pattern enumerates in this order, so one memo
+    entry serves all of them."""
+    symbols = [s for s, times in enumerate(pattern) for _ in range(times)]
+    return tuple(itertools.islice(multiset_permutations(symbols), limit))
+
+
+#: ``json.dumps(key, separators=(",", ":"))`` without building an
+#: encoder per call.
+_KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=1024)
+def _loop_rows(sizes: tuple, lpf_limit: int) -> tuple:
+    """The LPF decomposition of temporal loop ``sizes`` (``(dim, size)``
+    pairs) as ``(table, pattern, canonical)``: the sorted distinct loops,
+    each one's multiplicity, and the canonical dataflow orderings as
+    rows over the table (repeats kept: they are scored as candidates)."""
+    loops = lpf_decompose(dict(sizes), lpf_limit)
+    table = tuple(sorted(set(loops)))
+    index = {loop: symbol for symbol, loop in enumerate(table)}
+    pattern = [0] * len(table)
+    for loop in loops:
+        pattern[index[loop]] += 1
+    canonical = tuple(
+        tuple(index[loop] for loop in ordering)
+        for ordering in _canonical_orderings(loops)
+    )
+    return table, tuple(pattern), canonical
+
+
+def normalize_key(key: Hashable) -> str:
+    """Canonical string form of a structured cache key.
+
+    Keys are built from primitives and nested tuples only; JSON encoding
+    (tuples become arrays) gives a stable, process-independent identity.
+    """
+    if isinstance(key, str):
+        return key
+    return _KEY_ENCODER.encode(key)
+
+
+def raised_tops(
+    accel: Accelerator, tops: Mapping[str, int]
+) -> list[dict[str, int]]:
+    """The tops a depth-first layer-tile's search falls back to, in
+    order, when its planned ``tops`` have no feasible mapping: O raised
+    to DRAM, then I and O raised (a safety net for sharing corner cases
+    the planner's per-layer reservation model cannot see)."""
+    attempts = []
+    o_top = accel.top_level_index("O")
+    i_top = accel.top_level_index("I")
+    if tops.get("O") != o_top:
+        attempts.append({**tops, "O": o_top})
+    if tops.get("I") != i_top:
+        attempts.append({**tops, "I": i_top, "O": o_top})
+    return attempts
+
+
+def _winner(evaluation, objective: str | Objective) -> SearchResult | None:
+    """The best feasible candidate of a batch evaluation, materialized."""
+    winner = evaluation.best_index(objective)
+    if winner is None:
+        return None
+    return SearchResult(
+        mapping=evaluation.mapping(winner),
+        cost=evaluation.cost_result(winner),
+        evaluated=evaluation.evaluated,
+    )
+
+
+def _chunks(members: list) -> list[list]:
+    """Split a group's ``(key, (layer, table, rows))`` problems, in
+    order, into runs of at most :data:`GROUP_ROWS` rows (a larger
+    problem runs alone)."""
+    chunks: list[list] = []
+    size = 0
+    for member in members:
+        rows = len(member[1][2])
+        if not chunks or size + rows > GROUP_ROWS:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(member)
+        size += rows
+    return chunks
+
+
 class MappingSearchEngine:
     """Memoized LOMA-style mapping search.
 
@@ -141,6 +245,9 @@ class MappingSearchEngine:
 
             cache = MappingCache()
         self.cache = cache
+        # Winners :meth:`solve` scored, by normalized key, until the
+        # search that misses on the key takes its own.
+        self._solved: dict[str, tuple[SearchResult | None, str, bool]] = {}
 
     # ------------------------------------------------------------------
     def _layer_key(self, layer: LayerSpec) -> Hashable:
@@ -159,8 +266,9 @@ class MappingSearchEngine:
             layer.act_bits,
             layer.w_bits,
             layer.psum_bits,
-            layer.ix_clip,
-            layer.iy_clip,
+            # The derived spans: with no clip they depend on the padding.
+            layer.ix,
+            layer.iy,
         )
 
     def cache_key(
@@ -194,44 +302,32 @@ class MappingSearchEngine:
         accel: Accelerator,
         tops: Mapping[str, int] | None = None,
         objective: str | Objective | None = None,
+        *,
+        key: str | None = None,
     ) -> SearchResult:
         """Find the best temporal mapping for one layer(-tile).
 
         ``tops`` truncates the per-operand hierarchies (DeFiNES step 3);
         ``None`` means every operand tops out at DRAM (plain single-layer
-        operation).
+        operation).  ``key`` is the problem's normalized cache key when
+        the caller already holds it (:meth:`solve` returns them).  A
+        cache miss that :meth:`solve` already scored takes the held
+        winner instead of scoring again.
         """
         if tops is None:
             tops = {op: accel.top_level_index(op) for op in ("W", "I", "O")}
-        cacheable = objective is None
-        key = self.cache_key(layer, accel, tops) if cacheable else None
-        if key is not None:
-            hit = self.cache.get(key)
+        text = None
+        if objective is None:
+            if key is None:
+                key = normalize_key(self.cache_key(layer, accel, tops))
+            text = key
+            hit = self.cache.get(text)
             if hit is not None:
                 return hit
-
-        goal = objective or self.config.objective
-        loops = lpf_decompose(temporal_sizes(layer, accel), self.config.lpf_limit)
-
-        candidates: list[tuple[Loop, ...]] = _canonical_orderings(loops)
-        seen = set(candidates)
-        budget = max(self.config.budget - len(candidates), 0)
-        for ordering in itertools.islice(multiset_permutations(loops), budget):
-            if ordering not in seen:
-                candidates.append(ordering)
-                seen.add(ordering)
-
-        best: SearchResult | None = None
-        engine = self.config.engine
-        fell_back = False
-        if engine == "batch":
-            try:
-                best = self._search_batch(layer, accel, tops, candidates, goal)
-            except BatchFallback:
-                engine = "scalar"
-                fell_back = True
-        if engine == "scalar":
-            best = self._search_scalar(layer, accel, tops, candidates, goal)
+        solved = self._solved.pop(text, None) if text is not None else None
+        if solved is None:
+            solved = self._run(layer, accel, tops, objective or self.config.objective)
+        best, engine, fell_back = solved
         if obs.enabled:
             # Telemetry only — counters never feed back into the search.
             registry = obs.metrics()
@@ -248,28 +344,160 @@ class MappingSearchEngine:
                 f"no feasible mapping for {layer.name} on {accel.name} "
                 f"with tops {dict(tops)}"
             )
-        if key is not None:
-            self.cache.put(key, best)
+        if text is not None:
+            self.cache.put(text, best)
         return best
 
-    def _search_batch(
+    def forget_solved(self) -> None:
+        """Drop the winners :meth:`solve` held that no search took (an
+        evaluation that raised part-way)."""
+        self._solved.clear()
+
+    def _candidate_rows(
+        self, layer: LayerSpec, accel: Accelerator
+    ) -> tuple[tuple[Loop, ...], list[tuple[int, ...]]]:
+        """The problem's candidate orderings as integer rows over its
+        sorted distinct loops: the canonical dataflows, then the first
+        lexicographic permutations up to the budget."""
+        sizes = tuple(temporal_sizes(layer, accel).items())
+        table, pattern, canonical = _loop_rows(sizes, self.config.lpf_limit)
+        rows = list(canonical)
+        seen = set(canonical)
+        budget = max(self.config.budget - len(rows), 0)
+        rows.extend(row for row in _permutation_rows(pattern, budget) if row not in seen)
+        return table, rows
+
+    def _run(
         self,
         layer: LayerSpec,
         accel: Accelerator,
         tops: Mapping[str, int],
-        candidates: list[tuple[Loop, ...]],
         objective: str | Objective,
-    ) -> SearchResult | None:
-        """Vectorized candidate scoring (see :mod:`repro.mapping.batch`)."""
-        evaluation = evaluate_candidates(layer, accel, tops, candidates)
-        winner = evaluation.best_index(objective)
-        if winner is None:
-            return None
-        return SearchResult(
-            mapping=evaluation.mapping(winner),
-            cost=evaluation.cost_result(winner),
-            evaluated=evaluation.evaluated,
+    ) -> tuple[SearchResult | None, str, bool]:
+        """Score one problem alone: ``(winner, engine, fell_back)``."""
+        table, rows = self._candidate_rows(layer, accel)
+        if self.config.engine == "batch":
+            return self._score(accel, tops, [(layer, table, rows)], objective)[0]
+        return self._scalar(layer, accel, tops, table, rows, objective), "scalar", False
+
+    def _score(
+        self,
+        accel: Accelerator,
+        tops: Mapping[str, int],
+        members: list,
+        objective: str | Objective,
+    ) -> list[tuple[SearchResult | None, str, bool]]:
+        """Score problems ``(layer, table, rows)`` that share a kernel
+        signature in one call: ``(winner, engine, fell_back)`` each.  A
+        problem the kernel cannot score exactly runs on the scalar
+        engine, as it would alone."""
+        rows = CandidateRows(
+            [table for _, table, _ in members],
+            [row for *_, member_rows in members for row in member_rows],
+            [len(member_rows) for *_, member_rows in members],
         )
+        try:
+            outcomes = evaluate_candidates(
+                [layer for layer, _, _ in members], accel, tops, rows
+            )
+        except BatchFallback as exc:
+            outcomes = [exc] * len(members)
+        return [
+            (
+                self._scalar(layer, accel, tops, table, member_rows, objective),
+                "scalar",
+                True,
+            )
+            if isinstance(outcome, BatchFallback)
+            else (_winner(outcome, objective), "batch", False)
+            for (layer, table, member_rows), outcome in zip(members, outcomes)
+        ]
+
+    def solve(
+        self,
+        accel: Accelerator,
+        problems: Sequence[tuple[LayerSpec, Mapping[str, int]]],
+    ) -> list[str]:
+        """Score the cache misses among ``problems`` in grouped kernel
+        calls and hold their winners for :meth:`search`.
+
+        Returns each problem's normalized cache key, for
+        ``search(..., key=...)``.  The distinct misses are grouped by
+        (tops, active operands, loop count, whether ``K`` indexes
+        ``I``) and each group is scored in calls of at most
+        :data:`GROUP_ROWS` rows.  A problem with no feasible ordering is
+        solved again with the next of its :func:`raised_tops`.
+
+        Nothing touches the cache here: the membership test counts no
+        hit or miss, and each winner is put by the :meth:`search` that
+        takes it, so cache contents, order and statistics stay those of
+        one-at-a-time searches.  The scalar engine and caches without a
+        local membership test (a cache client) score at search time.
+        """
+        from .cache import MappingCache
+
+        keys = [
+            normalize_key(self.cache_key(layer, accel, tops))
+            for layer, tops in problems
+        ]
+        self._solved.clear()
+        if self.config.engine != "batch" or not isinstance(self.cache, MappingCache):
+            return keys
+        # Each chain walks one problem's tops: the planned ones, then
+        # raised_tops(planned) while the current tops are infeasible.
+        chains = [
+            (layer, tops, None, key) for (layer, tops), key in zip(problems, keys)
+        ]
+        while chains:
+            misses: dict[str, tuple[LayerSpec, Mapping[str, int]]] = {}
+            for layer, tops, _, key in chains:
+                if key not in self._solved and key not in self.cache:
+                    misses.setdefault(key, (layer, tops))
+            self._solve_grouped(accel, misses)
+            infeasible = []
+            for layer, tops, raised, key in chains:
+                solved = self._solved.get(key)
+                if solved is None or solved[0] is not None:
+                    continue
+                if raised is None:
+                    raised = raised_tops(accel, tops)
+                if raised:
+                    tops = raised[0]
+                    key = normalize_key(self.cache_key(layer, accel, tops))
+                    infeasible.append((layer, tops, raised[1:], key))
+            chains = infeasible
+        return keys
+
+    def _solve_grouped(
+        self,
+        accel: Accelerator,
+        misses: Mapping[str, tuple[LayerSpec, Mapping[str, int]]],
+    ) -> None:
+        """Score ``misses`` (key -> problem) group by group."""
+        groups: dict[tuple, tuple[Mapping[str, int], list]] = {}
+        for key, (layer, tops) in misses.items():
+            table, rows = self._candidate_rows(layer, accel)
+            signature = (
+                tuple(sorted(tops.items())),
+                active_operands(layer),
+                len(rows[0]),
+                "K" in layer.relevant_dims("I"),
+            )
+            groups.setdefault(signature, (tops, []))[1].append(
+                (key, (layer, table, rows))
+            )
+        for tops, members in groups.values():
+            for chunk in _chunks(members):
+                results = self._score(
+                    accel, tops, [member for _, member in chunk], self.config.objective
+                )
+                for (key, _), result in zip(chunk, results):
+                    self._solved[key] = result
+
+    def _scalar(self, layer, accel, tops, table, rows, objective) -> SearchResult | None:
+        """The scalar reference search over integer candidate rows."""
+        candidates = [tuple(table[symbol] for symbol in row) for row in rows]
+        return self._search_scalar(layer, accel, tops, candidates, objective)
 
     def _search_scalar(
         self,

@@ -1,5 +1,8 @@
 """Unit tests for the accelerator model."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.hardware.accelerator import build_accelerator
@@ -112,6 +115,62 @@ class TestHierarchy:
         # Only the per-PE register holds W on-chip here.
         top = small_accel().top_weight_buffer()
         assert top is not None and top.name == "W_reg"
+
+    @staticmethod
+    def lookups(accel):
+        """Everything the memoized hierarchy lookups answer, by value."""
+        out = {}
+        for op in ("W", "I", "O"):
+            hierarchy = accel.hierarchy(op)
+            out[op] = (
+                [(l.name, sorted(l.operands)) for l in hierarchy],
+                accel.top_level_index(op),
+                [accel.level_rank(l) for l in hierarchy],
+            )
+        out["levels"] = [accel.level_rank(l) for l in accel.levels]
+        return out
+
+    @pytest.mark.parametrize(
+        "copy",
+        [
+            lambda a: pickle.loads(pickle.dumps(a)),
+            lambda a: dataclasses.replace(a, name=a.name),
+            lambda a: dataclasses.replace(a, levels=a.levels[1:]),
+        ],
+        ids=["pickle", "replace", "replace-levels"],
+    )
+    def test_memos_follow_copies(self, copy):
+        """A memo built on one accelerator never answers for a copy:
+        after a pickle round trip (fresh level objects, new ids) or
+        ``dataclasses.replace``, lookups match a fresh accelerator's."""
+        accel = small_accel()
+        self.lookups(accel)  # fill every memo on the original
+        copied = copy(accel)
+        fresh = build_accelerator(
+            copied.name, copied.spatial_unrolling, list(copied.levels)
+        )
+        assert self.lookups(copied) == self.lookups(fresh)
+        for lvl in copied.levels:
+            assert copied.level_rank(lvl) == copied.levels.index(lvl)
+
+    def test_pickle_drops_memos(self):
+        accel = small_accel()
+        self.lookups(accel)
+        state = pickle.loads(pickle.dumps(accel)).__dict__
+        assert not [key for key in state if key.startswith("_")]
+
+    def test_level_rank_of_an_equal_level(self):
+        """An equal but distinct level object ranks like the original."""
+        accel = small_accel()
+        lb = accel.hierarchy("I")[0]
+        twin = level(lb.instance, "IO")
+        assert twin is not lb and accel.level_rank(twin) == accel.level_rank(lb)
+
+    def test_unknown_operand_rejected(self):
+        with pytest.raises(ValueError, match="unknown operand"):
+            small_accel().hierarchy("X")
+        with pytest.raises(ValueError, match="unknown operand"):
+            small_accel().top_level_index("X")
 
 
 class TestFingerprint:

@@ -3,14 +3,17 @@
 import pytest
 
 from repro.hardware.zoo import meta_proto_like_df
-from repro.mapping.loma import MappingSearchEngine, SearchConfig
+from repro.mapping.cache import encode_search_result
+from repro.mapping.loma import MappingSearchEngine, SearchConfig, normalize_key
 from repro.workloads.layer import LayerSpec
 
+TOPS = {"W": 3, "I": 2, "O": 3}
 
-def layer(**kw):
+
+def layer(name="t", **kw):
     base = dict(k=16, c=8, ox=24, oy=24, fx=3, fy=3, px=1, py=1)
     base.update(kw)
-    return LayerSpec(name="t", **base)
+    return LayerSpec(name=name, **base)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,62 @@ class TestCaching:
         engine.search(layer(), accel)
         engine.clear_cache()
         assert engine.cache_size == 0
+
+
+class TestCacheKey:
+    """The key must capture every layer field that can change a result,
+    and nothing else."""
+
+    CONFIG = SearchConfig(lpf_limit=5, budget=50)
+
+    def key(self, l, accel):
+        return normalize_key(MappingSearchEngine(self.CONFIG).cache_key(l, accel, TOPS))
+
+    def test_name_is_not_part_of_the_key(self, accel):
+        a, b = layer(ox=56, oy=56), layer(name="renamed", ox=56, oy=56)
+        assert self.key(a, accel) == self.key(b, accel)
+        found = [
+            encode_search_result(MappingSearchEngine(self.CONFIG).search(l, accel))
+            for l in (a, b)
+        ]
+        assert found[0] == found[1]
+
+    def test_padding_changes_the_key_without_clips(self, accel):
+        """With no clip, ix/iy derive from px/py: two layers differing
+        only in padding must not share an entry (they cost differently)."""
+        a = layer(k=32, c=32, ox=56, oy=56, px=0, py=0)
+        b = layer(k=32, c=32, ox=56, oy=56, px=1, py=1)
+        assert self.key(a, accel) != self.key(b, accel)
+        engine = MappingSearchEngine(self.CONFIG)
+        shared = [encode_search_result(engine.search(l, accel)) for l in (a, b)]
+        fresh = encode_search_result(MappingSearchEngine(self.CONFIG).search(b, accel))
+        assert shared[1] == fresh != shared[0]
+
+    def test_clipped_tile_keys_unchanged(self, accel):
+        """Scheduler tile layers set both clips, so keying on the derived
+        spans leaves their key strings (and cache files) byte-identical
+        to the clip-keyed format."""
+        from repro import DepthFirstEngine, DFStrategy, OverlapMode, get_workload
+
+        engine = DepthFirstEngine(accel, self.CONFIG)
+        seen = []
+        search = engine.mapper.search
+
+        def recording(l, a, tops=None, objective=None, **kw):
+            seen.append((l, tops, kw.get("key")))
+            return search(l, a, tops, objective, **kw)
+
+        engine.mapper.search = recording
+        engine.evaluate(
+            get_workload("mobilenet_v1"),
+            DFStrategy(tile_x=14, tile_y=14, mode=OverlapMode.FULLY_CACHED),
+        )
+        assert len(seen) > 20
+        for l, tops, key in seen:
+            assert l.ix_clip is not None and l.iy_clip is not None
+            old = list(engine.mapper.cache_key(l, accel, tops))
+            old[0] = old[0][:-2] + (l.ix_clip, l.iy_clip)
+            assert normalize_key(tuple(old)) == key
 
 
 class TestFixedMapping:
