@@ -124,12 +124,9 @@ class CandidateRows:
         table = tuple(sorted(set(candidates[0])))
         index = {loop: symbol for symbol, loop in enumerate(table)}
         n = len(candidates[0])
-        try:
-            rows = [tuple(index[loop] for loop in c) for c in candidates]
-        except KeyError:
-            rows = []
-        if len(rows) != len(candidates) or any(len(r) != n for r in rows):
+        if any(len(c) != n or not index.keys() >= set(c) for c in candidates):
             raise ValueError("candidates must be permutations of one loop multiset")
+        rows = [tuple(index[loop] for loop in c) for c in candidates]
         return cls((table,), rows, (len(rows),))
 
     def __len__(self) -> int:
