@@ -495,24 +495,22 @@ class MappingSearchEngine:
                 for (key, _), result in zip(chunk, results):
                     self._solved[key] = result
 
-    def _scalar(self, layer, accel, tops, table, rows, objective) -> SearchResult | None:
-        """The scalar reference search over integer candidate rows."""
-        candidates = [tuple(table[symbol] for symbol in row) for row in rows]
-        return self._search_scalar(layer, accel, tops, candidates, objective)
-
-    def _search_scalar(
+    def _scalar(
         self,
         layer: LayerSpec,
         accel: Accelerator,
         tops: Mapping[str, int],
-        candidates: list[tuple[Loop, ...]],
+        table: tuple[Loop, ...],
+        rows: list[tuple[int, ...]],
         objective: str | Objective,
     ) -> SearchResult | None:
-        """Reference one-ordering-at-a-time scoring loop."""
+        """Reference one-ordering-at-a-time scoring loop over the integer
+        candidate rows."""
         score = resolve_objective(objective)
         best: SearchResult | None = None
         evaluated = 0
-        for ordering in candidates:
+        for row in rows:
+            ordering = tuple(table[symbol] for symbol in row)
             try:
                 mapping = allocate(layer, accel, tops, ordering)
             except AllocationError:

@@ -123,11 +123,11 @@ class TestHierarchy:
         for op in ("W", "I", "O"):
             hierarchy = accel.hierarchy(op)
             out[op] = (
-                [(l.name, sorted(l.operands)) for l in hierarchy],
+                [(lvl.name, sorted(lvl.operands)) for lvl in hierarchy],
                 accel.top_level_index(op),
-                [accel.level_rank(l) for l in hierarchy],
+                [accel.level_rank(lvl) for lvl in hierarchy],
             )
-        out["levels"] = [accel.level_rank(l) for l in accel.levels]
+        out["levels"] = [accel.level_rank(lvl) for lvl in accel.levels]
         return out
 
     @pytest.mark.parametrize(

@@ -160,6 +160,8 @@ class TestGroupEqualsSingles:
         alone, grouped = score_alone_and_grouped(members, accel, tops)
         assert grouped == alone
         assert alone[0][1] == 2
+        single = evaluate_candidates(fits, accel, tops, [(("C", 2), ("K", 2)), (("K", 2), ("C", 2))])
+        assert single.candidates == [(("C", 2), ("K", 2)), (("K", 2), ("C", 2))]
         assert alone[1] == ("infeasible", 2)
         assert alone[2] == "fallback"
 
@@ -278,7 +280,7 @@ class TestSolve:
         search tries next are scored in the same grouped calls."""
         accel = get_accelerator("meta_proto_like_df")
         dram = accel.top_level_index("O")
-        problems = [(l, t) for l, t in zoo_problems(accel) if t["O"] != dram]
+        problems = [(lyr, t) for lyr, t in zoo_problems(accel) if t["O"] != dram]
         engine = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=40))
         keys = engine.solve(accel, problems)
         infeasible = [

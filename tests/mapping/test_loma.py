@@ -96,15 +96,15 @@ class TestCacheKey:
 
     CONFIG = SearchConfig(lpf_limit=5, budget=50)
 
-    def key(self, l, accel):
-        return normalize_key(MappingSearchEngine(self.CONFIG).cache_key(l, accel, TOPS))
+    def key(self, spec, accel):
+        return normalize_key(MappingSearchEngine(self.CONFIG).cache_key(spec, accel, TOPS))
 
     def test_name_is_not_part_of_the_key(self, accel):
         a, b = layer(ox=56, oy=56), layer(name="renamed", ox=56, oy=56)
         assert self.key(a, accel) == self.key(b, accel)
         found = [
-            encode_search_result(MappingSearchEngine(self.CONFIG).search(l, accel))
-            for l in (a, b)
+            encode_search_result(MappingSearchEngine(self.CONFIG).search(spec, accel))
+            for spec in (a, b)
         ]
         assert found[0] == found[1]
 
@@ -115,7 +115,7 @@ class TestCacheKey:
         b = layer(k=32, c=32, ox=56, oy=56, px=1, py=1)
         assert self.key(a, accel) != self.key(b, accel)
         engine = MappingSearchEngine(self.CONFIG)
-        shared = [encode_search_result(engine.search(l, accel)) for l in (a, b)]
+        shared = [encode_search_result(engine.search(spec, accel)) for spec in (a, b)]
         fresh = encode_search_result(MappingSearchEngine(self.CONFIG).search(b, accel))
         assert shared[1] == fresh != shared[0]
 
@@ -129,9 +129,9 @@ class TestCacheKey:
         seen = []
         search = engine.mapper.search
 
-        def recording(l, a, tops=None, objective=None, **kw):
-            seen.append((l, tops, kw.get("key")))
-            return search(l, a, tops, objective, **kw)
+        def recording(spec, a, tops=None, objective=None, **kw):
+            seen.append((spec, tops, kw.get("key")))
+            return search(spec, a, tops, objective, **kw)
 
         engine.mapper.search = recording
         engine.evaluate(
@@ -139,10 +139,10 @@ class TestCacheKey:
             DFStrategy(tile_x=14, tile_y=14, mode=OverlapMode.FULLY_CACHED),
         )
         assert len(seen) > 20
-        for l, tops, key in seen:
-            assert l.ix_clip is not None and l.iy_clip is not None
-            old = list(engine.mapper.cache_key(l, accel, tops))
-            old[0] = old[0][:-2] + (l.ix_clip, l.iy_clip)
+        for spec, tops, key in seen:
+            assert spec.ix_clip is not None and spec.iy_clip is not None
+            old = list(engine.mapper.cache_key(spec, accel, tops))
+            old[0] = old[0][:-2] + (spec.ix_clip, spec.iy_clip)
             assert normalize_key(tuple(old)) == key
 
 
