@@ -19,8 +19,10 @@ Regenerate with::
 
 It takes about ten minutes on a 2-CPU host.  Times are a trajectory,
 not a gate: the same host drifts by up to a third between runs an hour
-apart (``perfbench/layers.json``, ``host.noise``).  Under pytest, the
-smoke test only checks the committed file's shape.
+apart (``perfbench/layers.json``, ``host.noise``).  The exact counts are
+a gate: under pytest, a 1 s traced run of each traced workload must
+repeat the committed counts (about 40 s each on a 2-CPU host), and a
+change that moves one regenerates the file.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = ROOT / "BENCH_perf.json"
@@ -42,14 +46,16 @@ SEED = 0
 EXACT = {name for name, spec in LAYERS["per_layer"].items() if spec.get("exact")}
 
 
-def perfbench(workload: str, trace: int) -> dict:
+def perfbench(
+    workload: str, trace: int, seconds: float = BENCHMARK["run_seconds"]
+) -> dict:
     """One ``perfbench/run.py`` run; its last stdout line, parsed."""
     done = subprocess.run(
         [
             sys.executable, "perfbench/run.py",
             "--workload", workload,
             "--seed", str(SEED),
-            "--seconds", str(BENCHMARK["run_seconds"]),
+            "--seconds", str(seconds),
             "--trace", str(trace),
         ],
         cwd=ROOT, capture_output=True, text=True, check=True,
@@ -101,6 +107,17 @@ def test_committed_numbers_shape():
         assert set(entry["end_to_end"]) == {m["name"] for m in BENCHMARK["end_to_end"]}
     for name in TRACED:
         assert EXACT <= set(data["workloads"][name]["exact"])
+
+
+@pytest.mark.parametrize("workload", TRACED)
+def test_exact_counts_match_committed(workload):
+    """The exact counts repeat run to run, so a short traced run must
+    reproduce every committed one."""
+    committed = json.loads(RESULT_PATH.read_text())["workloads"][workload]
+    result = perfbench(workload, 1, seconds=1)
+    assert result["correct"] and result["failed"] == 0
+    counts = {k: v["value"] for k, v in result["metrics"].items() if k in EXACT}
+    assert counts == committed["exact"]
 
 
 if __name__ == "__main__":

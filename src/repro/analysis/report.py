@@ -182,11 +182,6 @@ def metrics_report(values: "Mapping[str, float]", top: int = 12) -> str:
             + total("cache_client_gets_total", result="local"),
             total("cache_client_gets_total", result="miss"),
         ),
-        (
-            "cache server",
-            total("cache_server_hits_total"),
-            total("cache_server_misses_total"),
-        ),
     ):
         line = _hit_rate_line(label, hits, misses)
         if line is not None:
@@ -220,8 +215,6 @@ def metrics_report(values: "Mapping[str, float]", top: int = 12) -> str:
     reported = {
         "mapping_cache_gets_total",
         "cache_client_gets_total",
-        "cache_server_hits_total",
-        "cache_server_misses_total",
     }
     counters = sorted(
         (

@@ -6,7 +6,7 @@ threads and the foreground loop at once.  Their concurrency contract is
 documented *in the source* with trailing annotations on the ``__init__``
 assignment of every shared mutable attribute::
 
-    self.connections = 0  # guarded-by: _counter_lock
+    self.snapshots_written = 0  # guarded-by: _lock
 
 and these rules enforce the contract lexically:
 

@@ -49,11 +49,11 @@ evaluation above):
 ``repro serve``
     Run a standalone live cache server: every run pointed at it with
     ``--cache-server HOST:PORT`` (classic sweeps and ``dse`` alike)
-    reads and writes one shared mapping table, so workers — across
-    processes *and* machines — share LOMA results while runs are still
-    in flight.  ``--cache FILE`` makes the server persist periodic
-    atomic snapshots in the unchanged mapping-cache format;
-    ``--metrics-port N`` adds an HTTP ``/metrics`` Prometheus endpoint.
+    reads and writes one shared mapping table, so runs on different
+    machines share LOMA results while they are still in flight.  On
+    one host shard-local caches are faster (every remote lookup is a
+    TCP round trip).  ``--cache FILE`` makes the server persist
+    periodic atomic snapshots in the unchanged mapping-cache format.
 ``repro runs``
     The durable run ledger: every ``evaluate``/``dse`` invocation
     appends a JSON record under ``.repro/runs/`` (manifest, versions,
@@ -62,10 +62,6 @@ evaluation above):
     --baseline REF`` compares the latest run (and optionally a
     ``BENCH_loma.json``) against a baseline with per-metric thresholds
     and exits nonzero on regression — the CI perf gate.
-``repro top``
-    Live fleet monitoring: poll a cache server's ``stats``/``metrics``
-    wire ops and render a refreshing terminal view — shard utilization,
-    queue depth, in-flight jobs, hit rate, evals/s.
 ``repro check``
     Static invariant checker: determinism (DET0xx), guarded-by
     concurrency (RACE0xx), cache-token purity (CACHE0xx) and doc-drift
@@ -79,7 +75,7 @@ through a long-lived :class:`~repro.serve.service.EvalService` (N
 worker shards on one shared job queue, in-batch dedup, shard-local
 mapping caches merged back into the run's cache) — results stay
 bit-identical to serial.  With ``--cache-server`` the shards share that
-server's live table instead.
+server's live table instead, for runs spread over several machines.
 
 Results are printed and optionally written as JSON (the artifact wrote
 pickle files; JSON keeps them human-readable and diffable).
@@ -92,7 +88,6 @@ import json
 import math
 import os
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -131,7 +126,6 @@ from .hardware.zoo import ACCELERATOR_FACTORIES, get_accelerator
 from .mapping import ENGINES, OBJECTIVE_NAMES, SearchConfig, validate_objectives
 from .mapping.cache import cache_file_info
 from .obs import ledger, parse_prometheus, regress
-from .obs import top as obs_top
 from .serve import AUTH_TOKEN_ENV, CacheClient, CacheServer, CacheServerError
 from .workloads.zoo import WORKLOAD_FACTORIES, get_workload
 
@@ -182,6 +176,17 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an int: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    """A bind port; ``bind()`` raises ``OverflowError`` past 65535."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an int: {text!r}")
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be in 0-65535, got {value}")
     return value
 
 
@@ -1102,7 +1107,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=0,
         help="bind port; 0 picks a free port (printed on startup)",
     )
@@ -1142,16 +1147,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         f"pass CacheClient(token=...) or set ${AUTH_TOKEN_ENV}, which "
         "is also this flag's default); omit for an open server",
     )
-    parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="also serve HTTP GET /metrics (Prometheus text exposition) "
-        "and /healthz on this port; 0 picks a free port (printed on "
-        "startup); exposes aggregate numbers only and is deliberately "
-        "not behind --auth-token, so scrapers never hold the secret",
-    )
     return parser
 
 
@@ -1167,15 +1162,11 @@ def run_serve(argv: Sequence[str]) -> int:
         snapshot_path=args.cache,
         snapshot_interval=args.snapshot_interval if args.cache else None,
         auth_token=args.auth_token,
-        metrics_port=args.metrics_port,
     )
     server.start()
     # The address line is the startup contract: wrappers parse it to
     # learn the picked port, so print and flush it first.
     print(f"cache server listening on {server.describe()}", flush=True)
-    if server.metrics_address is not None:
-        host, port = server.metrics_address
-        print(f"metrics endpoint on http://{host}:{port}/metrics", flush=True)
     if args.auth_token is not None:
         print("authentication: shared-secret token required", flush=True)
     print(
@@ -1211,7 +1202,7 @@ def build_cache_info_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro cache-info",
         description="Inspect a persistent mapping-cache JSON file, or a "
-        "live cache server's table and load counters.",
+        "live cache server's table counters.",
     )
     parser.add_argument(
         "path", nargs="?", default=None, help="mapping-cache file to inspect"
@@ -1221,8 +1212,7 @@ def build_cache_info_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help="query a live 'repro serve' instance (hits, misses, size, "
-        "per-op requests, connections, in-flight, queue depth) instead "
-        "of reading a file",
+        "per-op requests, snapshots) instead of reading a file",
     )
     return parser
 
@@ -1249,14 +1239,6 @@ def run_cache_info(argv: Sequence[str]) -> int:
         if requests:
             ops = ", ".join(f"{op}={n}" for op, n in sorted(requests.items()))
             print(f"requests:    {ops}")
-        print(
-            f"connections: {stats.get('connections', 0)} open "
-            f"({stats.get('connections_total', 0)} total)"
-        )
-        print(
-            f"load:        {stats.get('in_flight', 0)} in flight, "
-            f"{stats.get('queue_depth', 0)} queued"
-        )
         print(f"snapshots:   {stats.get('snapshots_written', 0)} written")
         return 0
     if args.path is None:
@@ -1584,96 +1566,12 @@ def run_runs(argv: Sequence[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# repro top — live fleet monitoring
-# ----------------------------------------------------------------------
-def build_top_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro top",
-        description="Live view of a cache-server fleet: polls the "
-        "server's stats/metrics wire ops and renders a refreshing "
-        "terminal frame (entries, hit rate, connections, in-flight, "
-        "queue depth, request and evaluation rates, per-shard "
-        "utilization when a co-located EvalService reports).",
-    )
-    parser.add_argument(
-        "address", metavar="HOST:PORT", help="a running 'repro serve'"
-    )
-    parser.add_argument(
-        "--interval",
-        type=_positive_float,
-        default=2.0,
-        metavar="SECONDS",
-        help="seconds between refreshes (default: 2)",
-    )
-    parser.add_argument(
-        "--iterations",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="stop after N frames (default: run until Ctrl-C)",
-    )
-    parser.add_argument(
-        "--once",
-        action="store_true",
-        help="print a single frame and exit (same as --iterations 1)",
-    )
-    parser.add_argument(
-        "--no-clear",
-        action="store_true",
-        help="append frames instead of clearing the screen (useful for "
-        "logs and pipes; clearing is skipped automatically when stdout "
-        "is not a terminal)",
-    )
-    parser.add_argument(
-        "--auth-token",
-        default=None,
-        metavar="TOKEN",
-        help="shared-secret token for an authenticated server "
-        f"(default: ${AUTH_TOKEN_ENV})",
-    )
-    return parser
-
-
-def run_top(argv: Sequence[str]) -> int:
-    args = build_top_parser().parse_args(argv)
-    iterations = 1 if args.once else args.iterations
-    try:
-        client = CacheClient(args.address, token=args.auth_token)
-    except (ValueError, CacheServerError) as exc:
-        raise SystemExit(str(exc))
-    clear = sys.stdout.isatty() and not args.no_clear
-    previous = None
-    frames = 0
-    try:
-        while True:
-            try:
-                current = obs_top.sample_server(client)
-            except CacheServerError as exc:
-                raise SystemExit(f"server went away: {exc}")
-            frame = obs_top.top_report(args.address, current, previous)
-            if clear:
-                print("\x1b[2J\x1b[H", end="")
-            print(frame, end="", flush=True)
-            previous = current
-            frames += 1
-            if iterations is not None and frames >= iterations:
-                break
-            time.sleep(args.interval)
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        client.close()
-    return 0
-
-
-# ----------------------------------------------------------------------
 SUBCOMMANDS = {
     "dse": run_dse,
     "serve": run_serve,
     "cache-info": run_cache_info,
     "stats": run_stats,
     "runs": run_runs,
-    "top": run_top,
     "check": run_check,
 }
 

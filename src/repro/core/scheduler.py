@@ -487,24 +487,3 @@ class DepthFirstEngine:
                 )
         return actions
 
-
-def evaluate_strategy(
-    accel: Accelerator,
-    workload: WorkloadGraph,
-    strategy: DFStrategy,
-    search_config: SearchConfig | None = None,
-    policy: MemLevelPolicy | None = None,
-    cache: MappingCache | None = None,
-) -> ScheduleResult:
-    """Evaluate one (workload, strategy) point as a plain function.
-
-    A picklable, module-level entry point for ad-hoc
-    ``multiprocessing`` use: everything it takes and returns survives a
-    pickle round trip.  The exploration runtime's service shards
-    receive the same ingredients but keep their own per-shard engine
-    reuse (see ``repro.explore.executor``); this function is the
-    one-shot equivalent.  Builds a throwaway engine around ``cache`` (or a
-    private one) and delegates to :meth:`DepthFirstEngine.evaluate`.
-    """
-    engine = DepthFirstEngine(accel, search_config, policy, cache=cache)
-    return engine.evaluate(workload, strategy)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from . import ledger, regress, top
+from . import ledger, regress
 from .metrics import (
     DEFAULT_BUCKETS,
     BucketMismatchError,
@@ -85,7 +85,6 @@ __all__ = [
     "span",
     "span_summary",
     "split_series",
-    "top",
     "trace_coverage",
     "trace_spans",
     "tracer",

@@ -10,10 +10,11 @@ server on top of the exploration runtime.
   multi-job batch through it, with results bit-identical to serial.
 * :class:`CacheServer` / :class:`CacheClient` — one live mapping-cache
   table served over TCP (JSON lines); every client of a run reads and
-  writes it, so hits propagate between shards — and machines —
-  *during* the run.  ``repro serve`` runs a standalone server;
-  ``--cache-server HOST:PORT`` points executors (and their shards) at
-  it.  Periodic snapshots keep the persistent JSON cache format
+  writes it, so hits propagate between machines *during* the run.
+  ``repro serve`` runs a standalone server; ``--cache-server
+  HOST:PORT`` points executors (and their shards) at it.  On one host
+  the shard-local caches are faster: each remote lookup is a TCP round
+  trip.  Periodic snapshots keep the persistent JSON cache format
   unchanged.
 
 Quick start::

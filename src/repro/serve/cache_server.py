@@ -2,14 +2,14 @@
 :class:`~repro.mapping.cache.MappingCache`, and a client that stands in
 for a local cache anywhere one is accepted.
 
-The evaluation service's shards share cache hits only at the *edges*
-of a service's life (each shard is pre-warmed with the caller's entries
-and its new entries are merged back after every job), so two shards
-that draw the same ``(layer, accelerator, tops)`` mapping both pay for
-the LOMA search.  :class:`CacheServer` (``repro serve``) closes that
-window: every client reads and writes one live table, so a mapping
-searched once is a hit for every other client — on any machine —
-*during* the run.
+:class:`CacheServer` (``repro serve``) lets runs on different machines
+read and write one live table, so a mapping searched by one client is a
+hit for every other client during the run.  On one host it does not
+pay: every first-touch ``get`` and every ``put`` is a TCP round trip,
+and a :class:`CacheClient` cache skips the engine's grouped scoring, so
+the evaluation service's shard-local caches (pre-warmed from the
+caller's cache, merged back after every job) are faster there even
+though shards may repeat a search.
 
 Protocol: newline-delimited JSON over a persistent TCP connection.  Each
 request is ``{"op": ..., ...}`` and each response ``{"ok": true, ...}``
@@ -32,7 +32,6 @@ import socket
 import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Hashable, Mapping
 
@@ -44,16 +43,21 @@ from ..mapping.cache import (
     normalize_key,
 )
 from ..mapping.loma import SearchResult
-from ..obs.metrics import MetricsRegistry
 
 #: Environment variable supplying the shared-secret token when neither
 #: ``CacheClient(token=...)`` nor ``repro serve --auth-token`` is given.
 AUTH_TOKEN_ENV = "REPRO_AUTH_TOKEN"
 
-#: Seconds between the listeners' shutdown checks: ``stop()`` waits up
-#: to one interval per listener (``serve_forever`` defaults to 0.5).
-#: Each check is an idle wake-up, about 0.3% of one core per listener.
+#: Seconds between the listener's shutdown checks: ``stop()`` waits up
+#: to one interval (``serve_forever`` defaults to 0.5).  Each check is
+#: an idle wake-up, about 0.3% of one core.
 _POLL_INTERVAL = 0.02
+
+#: Entries a :class:`CacheClient` keeps in its local read cache.
+LOCAL_BOUND = 4096
+
+#: Seconds a :class:`CacheClient` waits to connect and for each reply.
+CLIENT_TIMEOUT = 60.0
 
 
 class CacheServerError(RuntimeError):
@@ -61,22 +65,23 @@ class CacheServerError(RuntimeError):
 
 
 def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
-    """Normalize ``"host:port"`` (or a ``(host, port)`` pair) to a tuple."""
+    """Normalize ``"host:port"`` (or a ``(host, port)`` pair) to a tuple,
+    rejecting a missing host and a port outside 1-65535 (``getaddrinfo``
+    would silently wrap 70000 to 4464)."""
     if isinstance(address, tuple):
         host, port = address
-        return str(host), int(port)
-    text = address.strip()
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"cache-server address must be HOST:PORT, got {address!r}"
-        )
+    else:
+        host, _, port = address.strip().rpartition(":")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
+        number = 0
+    if not host or not 1 <= number <= 65535:
         raise ValueError(
-            f"cache-server address must be HOST:PORT, got {address!r}"
-        ) from None
+            "cache-server address must be HOST:PORT with a port in "
+            f"1-65535, got {address!r}"
+        )
+    return str(host), number
 
 
 def format_address(address: tuple[str, int]) -> str:
@@ -88,76 +93,29 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         server: CacheServer = self.server.cache_server  # type: ignore[attr-defined]
-        server._connection_opened()
-        try:
-            while True:
-                line = self.rfile.readline()
-                if not line:
-                    break
-                request: dict = {}
-                try:
-                    decoded = json.loads(line)
-                    if not isinstance(decoded, dict):
-                        raise ValueError("request must be a JSON object")
-                    request = decoded
-                    response = server.handle_request(request)
-                except Exception as exc:  # noqa: BLE001 - reported to the client
-                    response = {
-                        "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                self.wfile.write(json.dumps(response).encode() + b"\n")
-                self.wfile.flush()
-                if request.get("op") == "shutdown" and response.get("ok"):
-                    break
-        finally:
-            server._connection_closed()
+        while True:
+            line = self.rfile.readline()
+            if not line:
+                break
+            request: dict = {}
+            try:
+                decoded = json.loads(line)
+                if not isinstance(decoded, dict):
+                    raise ValueError("request must be a JSON object")
+                request = decoded
+                response = server.handle_request(request)
+            except Exception as exc:  # noqa: BLE001 - reported to the client
+                response = {
+                    "ok": False,
+                    "error": f"{type(exc).__name__}: {exc}",
+                }
+            self.wfile.write(json.dumps(response).encode() + b"\n")
+            self.wfile.flush()
+            if request.get("op") == "shutdown" and response.get("ok"):
+                break
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """Stdlib HTTP front for :meth:`CacheServer.export_metrics`.
-
-    Serves ``GET /metrics`` (Prometheus text exposition) and
-    ``GET /healthz``.  Exposes *aggregate numbers only* — never table
-    contents — so a fleet can be scraped without distributing the cache
-    auth token; the JSON-line data plane stays behind the token.
-    """
-
-    server_version = "repro-metrics"
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        cache_server: CacheServer = self.server.cache_server  # type: ignore[attr-defined]
-        path = self.path.partition("?")[0].rstrip("/") or "/"
-        if path == "/metrics":
-            body = cache_server.export_metrics().render_prometheus().encode()
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        elif path in ("/", "/healthz"):
-            body = b"ok\n"
-            content_type = "text/plain; charset=utf-8"
-        else:
-            body = b"not found: try /metrics or /healthz\n"
-            self.send_response(404)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Scrapes are periodic; stderr chatter would drown the run."""
-
-
-class _HTTPServer(ThreadingHTTPServer):
     allow_reuse_address = True
     daemon_threads = True
 
@@ -182,17 +140,11 @@ class CacheServer:
         Seconds between periodic snapshots (requires ``snapshot_path``);
         ``None`` snapshots only on :meth:`stop`.
     auth_token:
-        Optional shared secret.  When set, every request (``metrics``
-        and ``stats`` included) must carry a matching ``"token"`` field
+        Optional shared secret.  When set, every request (``stats``
+        included) must carry a matching ``"token"`` field
         — clients pass ``CacheClient(token=...)`` or set the
         ``REPRO_AUTH_TOKEN`` environment variable — and requests
         without one get a clean JSON error instead of service.
-    metrics_port:
-        When not ``None``, also serve an HTTP ``GET /metrics``
-        Prometheus exposition (plus ``/healthz``) on this port — ``0``
-        picks a free one, reported by :attr:`metrics_address` after
-        :meth:`start`.  Numbers only, unauthenticated by design; see
-        :class:`_MetricsHandler`.
     """
 
     def __init__(
@@ -203,7 +155,6 @@ class CacheServer:
         snapshot_path: "str | Path | None" = None,
         snapshot_interval: float | None = None,
         auth_token: str | None = None,
-        metrics_port: int | None = None,
     ) -> None:
         if snapshot_interval is not None:
             if snapshot_path is None:
@@ -231,34 +182,11 @@ class CacheServer:
         self._server: _TCPServer | None = None  # guarded-by: _stop_lock
         self._thread: threading.Thread | None = None  # guarded-by: <owner>
         self._snapshot_thread: threading.Thread | None = None  # guarded-by: <owner>
-        self.metrics_port = metrics_port
-        self._http_server: _HTTPServer | None = None  # guarded-by: <owner>
-        self._http_thread: threading.Thread | None = None  # guarded-by: <owner>
         self._stopping = threading.Event()
         self.auth_token = auth_token
         self.requests = {"get": 0, "put": 0}  # guarded-by: _lock
         self.snapshots_written = 0  # guarded-by: _lock
-        self.unauthorized = 0  # guarded-by: _counter_lock
-        # Live load counters (read under _counter_lock): open client
-        # connections, requests currently being handled, and requests
-        # blocked waiting for the shared-table lock (queue depth).
-        self._counter_lock = threading.Lock()
-        self.connections = 0  # guarded-by: _counter_lock
-        self.connections_total = 0  # guarded-by: _counter_lock
-        self.in_flight = 0  # guarded-by: _counter_lock
-        self.queue_depth = 0  # guarded-by: _counter_lock
-
-    # ------------------------------------------------------------------
-    # Load accounting
-    # ------------------------------------------------------------------
-    def _connection_opened(self) -> None:
-        with self._counter_lock:
-            self.connections += 1
-            self.connections_total += 1
-
-    def _connection_closed(self) -> None:
-        with self._counter_lock:
-            self.connections -= 1
+        self.unauthorized = 0  # guarded-by: _lock
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -285,19 +213,6 @@ class CacheServer:
                 daemon=True,
             )
             self._snapshot_thread.start()
-        if self.metrics_port is not None:
-            http_server = _HTTPServer(
-                (self._bind[0], self.metrics_port), _MetricsHandler
-            )
-            http_server.cache_server = self  # type: ignore[attr-defined]
-            self._http_server = http_server
-            self._http_thread = threading.Thread(
-                target=http_server.serve_forever,
-                args=(_POLL_INTERVAL,),
-                name="cache-server-metrics",
-                daemon=True,
-            )
-            self._http_thread.start()
         return self
 
     def stop(self, save: bool = True) -> None:
@@ -321,13 +236,6 @@ class CacheServer:
             self._stopping.set()
             server.shutdown()
             server.server_close()
-            if self._http_server is not None:
-                self._http_server.shutdown()
-                self._http_server.server_close()
-                self._http_server = None
-            if self._http_thread is not None:
-                self._http_thread.join(timeout=5.0)
-                self._http_thread = None
             if self._thread is not None:
                 self._thread.join(timeout=5.0)
                 self._thread = None
@@ -350,15 +258,6 @@ class CacheServer:
             host, port = self._server.server_address[:2]
             return str(host), int(port)
         return self._bind
-
-    @property
-    def metrics_address(self) -> "tuple[str, int] | None":
-        """The HTTP metrics endpoint's (host, port), or ``None`` when
-        no ``metrics_port`` was configured / the server is stopped."""
-        if self._http_server is None:
-            return None
-        host, port = self._http_server.server_address[:2]
-        return str(host), int(port)
 
     def describe(self) -> str:
         return format_address(self.address)
@@ -394,8 +293,8 @@ class CacheServer:
         if self.auth_token is not None and request.get("token") != self.auth_token:
             # A clean, structured rejection — never an exception, so
             # unauthenticated probes cannot distinguish ops, and every
-            # op (metrics/stats included) is behind the same gate.
-            with self._counter_lock:
+            # op (stats included) is behind the same gate.
+            with self._lock:
                 self.unauthorized += 1
             return {
                 "ok": False,
@@ -408,20 +307,10 @@ class CacheServer:
         handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
         if handler is None:
             raise ValueError(f"unknown cache-server op {op!r}")
-        with self._counter_lock:
-            self.in_flight += 1
-            self.queue_depth += 1
-        # The table lock serializes op bodies; time spent blocking on it
-        # here is "queued", time past it "in flight" (the RLock makes the
-        # ops' own acquisitions reentrant no-ops on this thread).
-        try:
-            with self._lock:
-                with self._counter_lock:
-                    self.queue_depth -= 1
-                return handler(request)
-        finally:
-            with self._counter_lock:
-                self.in_flight -= 1
+        # One op at a time; the ops' own ``with self._lock`` blocks,
+        # which RACE001 checks lexically, re-enter this RLock.
+        with self._lock:
+            return handler(request)
 
     def _op_ping(self, request: Mapping) -> dict:
         return {"ok": True, "pong": True, "size": len(self.cache)}
@@ -447,57 +336,8 @@ class CacheServer:
             stats = dict(self.cache.stats)
             stats["requests"] = dict(self.requests)
             stats["snapshots_written"] = self.snapshots_written
-        with self._counter_lock:
-            stats["connections"] = self.connections
-            stats["connections_total"] = self.connections_total
-            # Includes this very stats request, so >= 1 when served
-            # over the wire.
-            stats["in_flight"] = self.in_flight
-            stats["queue_depth"] = self.queue_depth
             stats["unauthorized"] = self.unauthorized
         return {"ok": True, "stats": stats}
-
-    def export_metrics(self) -> MetricsRegistry:
-        """The server's state as a metrics registry: cache counters,
-        per-op request totals and live load gauges, merged with this
-        process's global telemetry registry when telemetry is on (a
-        server sharing a process with an executor then also exports the
-        executor's counters)."""
-        registry = MetricsRegistry()
-        if obs.enabled:
-            registry.merge(obs.metrics())
-        with self._lock:
-            cache_stats = dict(self.cache.stats)
-            requests = dict(self.requests)
-            snapshots = self.snapshots_written
-        with self._counter_lock:
-            connections = self.connections
-            connections_total = self.connections_total
-            in_flight = self.in_flight
-            queue_depth = self.queue_depth
-            unauthorized = self.unauthorized
-        registry.counter("cache_server_hits_total").inc(cache_stats["hits"])
-        registry.counter("cache_server_misses_total").inc(cache_stats["misses"])
-        registry.gauge("cache_server_entries").set(cache_stats["size"])
-        for op, count in requests.items():
-            registry.counter("cache_server_requests_total", op=op).inc(count)
-        registry.counter("cache_server_snapshots_total").inc(snapshots)
-        registry.counter("cache_server_unauthorized_total").inc(unauthorized)
-        registry.gauge("cache_server_connections").set(connections)
-        registry.counter("cache_server_connections_total").inc(connections_total)
-        registry.gauge("cache_server_in_flight").set(in_flight)
-        registry.gauge("cache_server_queue_depth").set(queue_depth)
-        return registry
-
-    def _op_metrics(self, request: Mapping) -> dict:
-        """Prometheus text + JSON dump of :meth:`export_metrics` (the
-        observability endpoint the ROADMAP's fleet mode needs)."""
-        registry = self.export_metrics()
-        return {
-            "ok": True,
-            "text": registry.render_prometheus(),
-            "json": registry.to_json(),
-        }
 
     def _op_save(self, request: Mapping) -> dict:
         path = request.get("path") or self.snapshot_path
@@ -523,29 +363,21 @@ class CacheClient:
     then each connect to the same server).
 
     Reads are cached locally: a key fetched or put once is (while it
-    stays within ``local_bound``, oldest-out) never requested again, so
-    the server mostly sees first-touch traffic.  A *server-side* hit
-    therefore always means one client benefiting from an entry another
-    client produced — the intra-run sharing that shard-local caches
-    cannot provide.  The bound keeps long-lived clients (service shards)
-    at flat memory; an evicted key is simply re-fetched.
+    stays among the newest :data:`LOCAL_BOUND` entries) never requested
+    again, so the server mostly sees first-touch traffic.  A
+    *server-side* hit therefore always means one client benefiting from
+    an entry another client produced — the intra-run sharing that
+    shard-local caches cannot provide.  The bound keeps long-lived
+    clients (service shards) at flat memory; an evicted key is simply
+    re-fetched.
     """
-
-    #: Default capacity of the local read cache.
-    DEFAULT_LOCAL_BOUND = 4096
 
     def __init__(
         self,
         address: "str | tuple[str, int]",
-        timeout: float = 60.0,
-        local_bound: int | None = DEFAULT_LOCAL_BOUND,
         token: str | None = None,
     ) -> None:
-        if local_bound is not None and local_bound < 1:
-            raise ValueError(f"local_bound must be >= 1, got {local_bound}")
         self.address = parse_address(address)
-        self.timeout = timeout
-        self.local_bound = local_bound
         # Shared-secret auth: an explicit token wins; otherwise the
         # environment supplies one (forked workers inherit it), and
         # None means "server does not require auth".
@@ -564,9 +396,8 @@ class CacheClient:
 
     def _remember(self, text: str, result: SearchResult) -> None:
         self._local[text] = result
-        if self.local_bound is not None:
-            while len(self._local) > self.local_bound:
-                del self._local[next(iter(self._local))]
+        while len(self._local) > LOCAL_BOUND:
+            del self._local[next(iter(self._local))]
 
     # ------------------------------------------------------------------
     # Wire plumbing
@@ -578,7 +409,7 @@ class CacheClient:
             try:
                 if self._sock is None:
                     self._sock = socket.create_connection(
-                        self.address, timeout=self.timeout
+                        self.address, timeout=CLIENT_TIMEOUT
                     )
                     self._file = self._sock.makefile("rb")
                 self._sock.sendall(json.dumps(payload).encode() + b"\n")
@@ -691,12 +522,6 @@ class CacheClient:
     def server_stats(self) -> dict:
         """The server's aggregate stats (hits there are cross-client)."""
         return self._request({"op": "stats"})["stats"]
-
-    def server_metrics(self) -> dict:
-        """The server's ``metrics`` op: ``{"text": <Prometheus
-        exposition>, "json": <MetricsRegistry dump>}``."""
-        response = self._request({"op": "metrics"})
-        return {"text": response["text"], "json": response["json"]}
 
     def save(self, path: "str | Path | None" = None) -> Path:
         """Ask the server to snapshot its table to disk."""

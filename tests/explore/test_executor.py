@@ -12,9 +12,8 @@ import pytest
 
 from repro import DepthFirstEngine, DFStrategy, obs
 from repro.core.optimizer import best_combination, sweep
-from repro.core.scheduler import evaluate_strategy
 from repro.core.strategy import OverlapMode
-from repro.explore import Executor, MappingCache, SweepSpec
+from repro.explore import Executor, SweepSpec
 
 from ..conftest import make_tiny_workload
 
@@ -189,21 +188,3 @@ class TestStackJobs:
         for s, p in zip(serial, parallel):
             assert s.strategy == p.strategy
             assert s.result.total == p.result.total
-
-
-class TestPicklableEntryPoint:
-    def test_evaluate_strategy_matches_engine(self, meta_df, fast_config, tiny):
-        strategy = DFStrategy(tile_x=8, tile_y=8)
-        via_function = evaluate_strategy(
-            meta_df, tiny, strategy, search_config=fast_config
-        )
-        via_engine = DepthFirstEngine(meta_df, fast_config).evaluate(tiny, strategy)
-        assert via_function.total == via_engine.total
-
-    def test_fills_a_shared_cache(self, meta_df, fast_config, tiny):
-        cache = MappingCache()
-        evaluate_strategy(
-            meta_df, tiny, DFStrategy(tile_x=8, tile_y=8),
-            search_config=fast_config, cache=cache,
-        )
-        assert len(cache) > 0

@@ -1,4 +1,4 @@
-"""Cache-server auth (shared-secret token) and the metrics op."""
+"""Cache-server auth (shared-secret token)."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import socket
 
 import pytest
 
-from repro import obs
-from repro.obs import parse_prometheus
 from repro.serve import (
     AUTH_TOKEN_ENV,
     CacheClient,
@@ -74,11 +72,10 @@ class TestAuth:
         with CacheClient(auth_server.address, token=TOKEN) as client:
             assert client.ping() == 0
 
-    def test_stats_and_metrics_ops_honor_auth(self, auth_server):
-        for op in ("stats", "metrics"):
-            response = raw_request(auth_server.address, {"op": op})
-            assert response["ok"] is False, op
-            assert response["unauthorized"] is True, op
+    def test_stats_op_honors_auth(self, auth_server):
+        response = raw_request(auth_server.address, {"op": "stats"})
+        assert response["ok"] is False
+        assert response["unauthorized"] is True
 
     def test_unauthorized_counter_in_stats(self, auth_server):
         raw_request(auth_server.address, {"op": "ping"})
@@ -93,59 +90,3 @@ class TestAuth:
             )
             assert response["ok"] is True
 
-
-class TestMetricsOp:
-    def test_text_and_json_exposition(self):
-        with CacheServer() as server:
-            with CacheClient(server.address) as client:
-                client.get("missing")
-                client.put("k", make_result(1))
-                client.clear()  # local-only: force the hit to the server
-                client.get("k")
-                payload = client.server_metrics()
-        values = parse_prometheus(payload["text"])
-        assert values["cache_server_hits_total"] == 1
-        assert values["cache_server_misses_total"] == 1
-        assert values["cache_server_entries"] == 1
-        assert values['cache_server_requests_total{op="get"}'] == 2
-        assert payload["json"]["metrics"]  # registry dump form
-
-    def test_unauthorized_metric_exported(self, auth_server):
-        raw_request(auth_server.address, {"op": "ping"})
-        with CacheClient(auth_server.address, token=TOKEN) as client:
-            payload = client.server_metrics()
-        values = parse_prometheus(payload["text"])
-        assert values["cache_server_unauthorized_total"] == 1
-
-    def test_merges_global_registry_when_enabled(self):
-        obs.reset()
-        obs.enable()
-        try:
-            obs.metrics().counter("my_app_things_total").inc(5)
-            with CacheServer() as server:
-                with CacheClient(server.address) as client:
-                    payload = client.server_metrics()
-            values = parse_prometheus(payload["text"])
-            assert values["my_app_things_total"] == 5
-        finally:
-            obs.reset()
-
-    def test_client_latency_histograms_recorded(self):
-        obs.reset()
-        obs.enable()
-        try:
-            with CacheServer() as server:
-                with CacheClient(server.address) as client:
-                    client.get("missing")
-                    client.put("k", make_result(1))
-                    client.clear()  # local-only: force a server hit
-                    client.get("k")
-            registry = obs.metrics()
-            gets = registry.get("cache_client_get_seconds")
-            assert gets is not None and gets.count == 2
-            assert registry.value("cache_client_gets_total", result="hit") == 1
-            assert registry.value("cache_client_gets_total", result="miss") == 1
-            puts = registry.get("cache_client_put_seconds")
-            assert puts is not None and puts.count == 1
-        finally:
-            obs.reset()

@@ -390,8 +390,8 @@ class TestCacheInfoMain:
             assert main(["cache-info", "--cache-server", f"{host}:{port}"]) == 0
         out = capsys.readouterr().out
         assert "size:        0 entries" in out
-        assert "connections: 1 open" in out
-        assert "in flight" in out and "queued" in out
+        assert "requests:    get=0, put=0" in out
+        assert "snapshots:   0 written" in out
 
 
 class TestModeResolution:
@@ -495,10 +495,14 @@ class TestServeParser:
         with pytest.raises(SystemExit):
             build_serve_parser().parse_args(["--snapshot-interval", "0"])
 
-    def test_metrics_port_default_off(self):
-        from repro.cli import build_serve_parser
-
-        assert build_serve_parser().parse_args([]).metrics_port is None
+    @pytest.mark.parametrize(
+        "argv", [["--port", "70000"], ["--port", "-1"], ["--metrics-port", "0"]]
+    )
+    def test_rejects_bad_port_and_removed_options(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *argv])
+        assert excinfo.value.code == 2
+        assert "cache server listening" not in capsys.readouterr().out
 
 
 class TestServeMain:
@@ -513,20 +517,6 @@ class TestServeMain:
         assert "0 entries loaded" in out
         assert "cache server stopped" in out
         assert cache_file.exists()  # final snapshot written
-
-    def test_serve_announces_metrics_endpoint(self, capsys):
-        code = main(
-            ["serve", "--port", "0", "--timeout", "0.3", "--metrics-port", "0"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        # Startup contract: the address line stays first.
-        assert "cache server listening on" in lines[0]
-        assert any(
-            "metrics endpoint on http://" in line and "/metrics" in line
-            for line in lines
-        )
 
     def test_remote_shutdown_ends_serve_after_final_snapshot(
         self, tmp_path, capsys
