@@ -6,10 +6,10 @@ run, seed 0):
 
 * ``--trace 0`` on every workload, for the end-to-end medians
   (``evals_per_s``, ``setup_s``, ``peak_rss_mb``, ``frontier_hv``);
-* ``--trace 1`` on ``sweep_cold`` and ``dse_scenario``, for the
-  per-layer values.  The counts ``perfbench/layers.json`` marks exact
-  repeat run to run on these serial workloads and are kept apart from
-  the times.
+* ``--trace 1`` on the serial workloads ``sweep_cold``, ``sweep_warm``
+  and ``dse_scenario``, for the per-layer values.  The counts
+  ``perfbench/layers.json`` marks exact repeat run to run on these
+  workloads and are kept apart from the times.
 
 and writes them to ``BENCH_perf.json`` at the repository root with the
 commit, whether ``src/`` had uncommitted changes, and ``nproc``.
@@ -41,7 +41,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 LAYERS = json.loads((ROOT / "perfbench" / "layers.json").read_text())
 
 WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
-TRACED = ("sweep_cold", "dse_scenario")
+TRACED = ("sweep_cold", "sweep_warm", "dse_scenario")
 SEED = 0
 EXACT = {name for name, spec in LAYERS["per_layer"].items() if spec.get("exact")}
 

@@ -11,15 +11,19 @@ fetched from wherever the previous stack left it.
 Everything is axis-separable (see :mod:`repro.core.geometry`): tiles are
 rectangles, layer transforms act per axis and the branch rule (Fig. 8) is
 a per-axis hull.  We therefore compute one geometry sequence per tile
-column and one per tile row and combine them — which also yields tile
-types (Fig. 6) for free: tiles with identical (column class, row class)
-pairs are identical and are evaluated once.
+column and one per tile row, and group identical columns (rows) into
+*axis classes*.  Tiles with identical (column class, row class) pairs
+are identical, so the tile types (Fig. 6) are the products of the two
+axes' classes, built without visiting the tiles themselves.  An
+:class:`AxisMemo` keeps each axis's classes by content, because the
+same stack, axis and tile size recur across strategies and
+accelerators.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 from ..workloads.layer import LayerSpec
 from .geometry import EMPTY, Interval, input_interval, tile_edges
@@ -27,7 +31,7 @@ from .stacks import Stack
 from .strategy import OverlapMode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxisGeometry:
     """Geometry along one axis for one tile position of one feature map.
 
@@ -68,7 +72,7 @@ def _axis_sequence(
     """
     wl = stack.workload
     layers = stack.layers
-    reverse = list(reversed(layers))
+    reverse = [(l, wl.successors(l.name)) for l in reversed(layers)]
     sink_name = stack.sink.name
     sources = {l.name for l in wl.sources()}
 
@@ -79,12 +83,12 @@ def _axis_sequence(
 
     for idx, edge in enumerate(edges):
         col: dict[str, AxisGeometry] = {}
-        for layer in reverse:
+        for layer, consumers in reverse:
             if layer.name == sink_name:
                 required = edge
             else:
                 required = EMPTY
-                for consumer in wl.successors(layer.name):
+                for consumer in consumers:
                     required = required.hull(
                         input_interval(consumer, col[consumer.name].fresh, axis)
                     )
@@ -335,69 +339,41 @@ class StackTiling:
         return sum(t.mac_count * t.count for t in self.tile_types)
 
 
-def backcalculate(
-    stack: Stack, mode: OverlapMode, tile_x: int, tile_y: int
-) -> StackTiling:
-    """Run DeFiNES steps 1-2 for one stack: tile the output, back-calculate
-    all per-layer tile geometries, and group identical tiles into types."""
-    sink = stack.sink
-    tx = min(tile_x, sink.ox)
-    ty = min(tile_y, sink.oy)
-    x_edges = tile_edges(sink.ox, tx)
-    y_edges = tile_edges(sink.oy, ty)
+@dataclass(frozen=True, slots=True)
+class AxisClass:
+    """A class of tile columns (or rows) with identical per-layer
+    geometry, held by its representative: the lowest ``position`` in
+    the class.
 
-    x_cols, x_incols = _axis_sequence(stack, "x", x_edges, mode.caches_x)
-    y_rows, y_inrows = _axis_sequence(stack, "y", y_edges, mode.caches_y)
+    ``layers`` holds the representative's geometry per stack layer, and
+    ``inputs`` the stack input window per stack layer (``None`` for
+    layers that are not stack sources).  Other members share every
+    width and cache count but may sit at other offsets.
+    """
 
-    x_class_of = _classify(x_cols, x_incols, stack)
-    y_class_of = _classify(y_rows, y_inrows, stack)
+    position: int
+    count: int
+    layers: tuple[AxisGeometry, ...]
+    inputs: tuple[AxisGeometry | None, ...]
 
-    # Tile (0, 0) is always its own type: it fetches weights from DRAM
-    # (Fig. 9: "all the layers of the first tile take weights from DRAM").
-    combos: dict[tuple[int, int, bool], list[tuple[int, int]]] = {}
-    for r in range(len(y_edges)):
-        for c in range(len(x_edges)):
-            key = (x_class_of[c], y_class_of[r], (r == 0 and c == 0))
-            combos.setdefault(key, []).append((c, r))
 
-    sources = {l.name for l in stack.workload.sources()}
-    tile_types: list[TileType] = []
-    for key, members in sorted(
-        combos.items(), key=lambda kv: min((r, c) for c, r in kv[1])
-    ):
-        col_idx, row_idx = members[0]
-        geometry = []
-        for layer in stack.layers:
-            is_src = layer.name in sources
-            geometry.append(
-                LayerTileGeometry(
-                    layer=layer,
-                    x=x_cols[col_idx][layer.name],
-                    y=y_rows[row_idx][layer.name],
-                    input_x=x_incols[col_idx][layer.name] if is_src else None,
-                    input_y=y_inrows[row_idx][layer.name] if is_src else None,
-                )
-            )
-        tile_types.append(
-            TileType(
-                index=len(tile_types),
-                count=len(members),
-                col_index=col_idx,
-                row_index=row_idx,
-                is_first_tile=key[2],
-                geometry=tuple(geometry),
-            )
-        )
+@dataclass(frozen=True, slots=True)
+class AxisClasses:
+    """One axis of a stack's tiling, reduced to its classes.
 
-    return StackTiling(
-        stack=stack,
-        mode=mode,
-        tile_x=tx,
-        tile_y=ty,
-        grid_cols=len(x_edges),
-        grid_rows=len(y_edges),
-        tile_types=tuple(tile_types),
-    )
+    ``classes`` are in order of first appearance, so ``classes[0]``
+    holds position 0.  ``tail0`` is class 0 without position 0, led by
+    its second member (``None`` when class 0 has one member): tile
+    (0, 0) is a type of its own, and the rest of its class pair needs
+    that representative.
+    """
+
+    classes: tuple[AxisClass, ...]
+    tail0: AxisClass | None
+
+    @property
+    def positions(self) -> int:
+        return sum(c.count for c in self.classes)
 
 
 def _classify(
@@ -427,6 +403,150 @@ def _classify(
     return class_of
 
 
-def iter_tiles(tiling: StackTiling) -> Iterator[TileType]:
-    """Iterate tile types (steps 2-6 run once per type)."""
-    return iter(tiling.tile_types)
+def _axis_classes(
+    stack: Stack, axis: str, extent: int, tile: int, cached: bool
+) -> AxisClasses:
+    """Back-calculate one axis of ``stack`` cut into spans of ``tile``
+    over ``[0, extent)`` and reduce it to its classes."""
+    slices, input_slices = _axis_sequence(
+        stack, axis, tile_edges(extent, tile), cached
+    )
+    class_of = _classify(slices, input_slices, stack)
+    names = [l.name for l in stack.layers]
+
+    def representative(position: int, count: int) -> AxisClass:
+        inputs = input_slices[position]
+        return AxisClass(
+            position=position,
+            count=count,
+            layers=tuple(slices[position][n] for n in names),
+            inputs=tuple(inputs.get(n) for n in names),
+        )
+
+    counts = Counter(class_of)
+    first: dict[int, int] = {}
+    second0 = None
+    for position, cls in enumerate(class_of):
+        if cls not in first:
+            first[cls] = position
+        elif cls == 0 and second0 is None:
+            second0 = position
+    return AxisClasses(
+        classes=tuple(representative(first[c], counts[c]) for c in first),
+        tail0=None if second0 is None else representative(second0, counts[0] - 1),
+    )
+
+
+def _wiring(stack: Stack) -> tuple:
+    """The stack's layers and internal edges: everything of the stack
+    that back-calculation reads."""
+    wl = stack.workload
+    return stack.layers, tuple(
+        (p.name, l.name) for l in stack.layers for p in wl.predecessors(l.name)
+    )
+
+
+class AxisMemo:
+    """Axis classes by content, for repeated back-calculations.
+
+    An entry is keyed by the stack's layers and internal edges, the
+    axis, its extent, the tile size and whether the axis caches
+    overlap; its value is an immutable :class:`AxisClasses`.  Nothing
+    of the accelerator enters back-calculation, so one memo serves
+    every engine of an :class:`~repro.explore.executor.Executor`.
+    Entries leave oldest first beyond :attr:`BOUND`.
+    """
+
+    #: Capacity (oldest out).  A 10-generation, 2-workload, 3-accelerator
+    #: genetic DSE with partition genes looks up 1,452 distinct keys.
+    BOUND = 4096
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, AxisClasses] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def classes(
+        self, stack: Stack, axes: tuple[tuple[str, int, int, bool], ...]
+    ) -> list[AxisClasses]:
+        """:func:`_axis_classes` of ``stack`` for each ``(axis, extent,
+        tile, cached)`` of ``axes``, computed only on a miss."""
+        wiring = _wiring(stack)
+        found = []
+        for axis in axes:
+            key = (*wiring, *axis)
+            classes = self._entries.get(key)
+            if classes is None:
+                classes = self._entries[key] = _axis_classes(stack, *axis)
+                if len(self._entries) > self.BOUND:
+                    del self._entries[next(iter(self._entries))]
+            found.append(classes)
+        return found
+
+
+def backcalculate(
+    stack: Stack,
+    mode: OverlapMode,
+    tile_x: int,
+    tile_y: int,
+    memo: AxisMemo | None = None,
+) -> StackTiling:
+    """Run DeFiNES steps 1-2 for one stack: tile the output, back-calculate
+    all per-layer tile geometries, and group identical tiles into types.
+
+    Each axis's classes come from ``memo`` when given; without one they
+    are computed afresh.  Tile types are ordered by their representative
+    tile, the lowest (row, column) of their members."""
+    sink = stack.sink
+    tx = min(tile_x, sink.ox)
+    ty = min(tile_y, sink.oy)
+    axes = (("x", sink.ox, tx, mode.caches_x), ("y", sink.oy, ty, mode.caches_y))
+    if memo is None:
+        xs, ys = (_axis_classes(stack, *axis) for axis in axes)
+    else:
+        xs, ys = memo.classes(stack, axes)
+
+    # Tile (0, 0) is always its own type: it fetches weights from DRAM
+    # (Fig. 9: "all the layers of the first tile take weights from DRAM").
+    # The rest of its class pair starts at the next tile of row 0, or
+    # else at column 0 of the pair's next row.
+    x0, y0 = xs.classes[0], ys.classes[0]
+    found: list[tuple[int, bool, AxisClass, AxisClass]] = [(1, True, x0, y0)]
+    for cy in ys.classes:
+        for cx in xs.classes:
+            if cx is not x0 or cy is not y0:
+                found.append((cx.count * cy.count, False, cx, cy))
+            elif xs.tail0 is not None:
+                found.append((cx.count * cy.count - 1, False, xs.tail0, cy))
+            elif ys.tail0 is not None:
+                found.append((cx.count * cy.count - 1, False, cx, ys.tail0))
+    found.sort(key=lambda t: (t[3].position, t[2].position))
+
+    tile_types = tuple(
+        TileType(
+            index=index,
+            count=count,
+            col_index=cx.position,
+            row_index=cy.position,
+            is_first_tile=first,
+            geometry=tuple(
+                LayerTileGeometry(
+                    layer=layer, x=x, y=y, input_x=input_x, input_y=input_y
+                )
+                for layer, x, y, input_x, input_y in zip(
+                    stack.layers, cx.layers, cy.layers, cx.inputs, cy.inputs
+                )
+            ),
+        )
+        for index, (count, first, cx, cy) in enumerate(found)
+    )
+    return StackTiling(
+        stack=stack,
+        mode=mode,
+        tile_x=tx,
+        tile_y=ty,
+        grid_cols=xs.positions,
+        grid_rows=ys.positions,
+        tile_types=tile_types,
+    )

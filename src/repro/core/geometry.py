@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ..workloads.layer import LayerSpec
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Interval:
     """Half-open integer interval ``[lo, hi)``; empty when ``hi <= lo``."""
 

@@ -38,7 +38,13 @@ from ..mapping.cost import CostResult
 from ..mapping.loma import MappingSearchEngine, SearchConfig, raised_tops
 from ..workloads.graph import WorkloadGraph
 from ..workloads.layer import LayerSpec
-from .backcalc import LayerTileGeometry, StackTiling, TileType, backcalculate
+from .backcalc import (
+    AxisMemo,
+    LayerTileGeometry,
+    StackTiling,
+    TileType,
+    backcalculate,
+)
 from .datacopy import DataCopyAction, copy_cost
 from .memlevels import MemLevelPolicy, TileMemoryPlan, plan_tile_memory
 from .results import ScheduleResult, StackResult, TileTypeResult
@@ -74,10 +80,14 @@ class DepthFirstEngine:
         search_config: SearchConfig | None = None,
         policy: MemLevelPolicy | None = None,
         cache: MappingCache | None = None,
+        axis_memo: AxisMemo | None = None,
     ) -> None:
         self.accel = accel
         self.mapper = MappingSearchEngine(search_config, cache=cache)
         self.policy = policy or MemLevelPolicy()
+        #: Back-calculation memo, shareable by engines on any
+        #: accelerator: back-calculation never reads the accelerator.
+        self.axis_memo = axis_memo if axis_memo is not None else AxisMemo()
 
     @property
     def cache(self) -> MappingCache:
@@ -235,7 +245,7 @@ class DepthFirstEngine:
         """Steps 2-4 for one stack: tiling, memory plans, data copies and
         the layer-tile search problems."""
         tiling = backcalculate(
-            stack, strategy.mode, strategy.tile_x, strategy.tile_y
+            stack, strategy.mode, strategy.tile_x, strategy.tile_y, self.axis_memo
         )
         out_dest_i = locations[stack.sink.name]
         out_dest_o = self._o_index_for(out_dest_i)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .. import obs
+from ..core.backcalc import AxisMemo
 from ..core.results import ScheduleResult, StackResult
 from ..core.scheduler import DepthFirstEngine
 from ..core.stacks import Stack
@@ -76,7 +77,8 @@ def _ref_key(ref) -> "str | int":
 
 
 class _JobRunner:
-    """Evaluates jobs against per-accelerator engines sharing one cache.
+    """Evaluates jobs against per-accelerator engines sharing one
+    mapping cache and one back-calculation memo.
 
     Used directly by the serial backend and per shard by the long-lived
     evaluation service.  Object references memoize by ``id()``, which a
@@ -93,10 +95,12 @@ class _JobRunner:
         search_config: SearchConfig | None,
         policy,
         cache: MappingCache,
+        axis_memo: AxisMemo | None = None,
     ) -> None:
         self.search_config = search_config
         self.policy = policy
         self.cache = cache
+        self.axis_memo = axis_memo if axis_memo is not None else AxisMemo()
         self._engines: dict[str | int, DepthFirstEngine] = {}
         self._workloads: dict[str | int, object] = {}
 
@@ -114,6 +118,7 @@ class _JobRunner:
                 self.search_config,
                 self.policy,
                 cache=self.cache,
+                axis_memo=self.axis_memo,
             )
             self._engines[key] = engine
             self._bound(self._engines)
@@ -201,6 +206,8 @@ class Executor:
         self.policy = policy
         self.cache = cache if cache is not None else MappingCache()
         self.backend = backend
+        # Kept across run() calls: a DSE runs one batch per generation.
+        self._axis_memo = AxisMemo()
         self._service = None
         self._finalizer: weakref.finalize | None = None
 
@@ -266,7 +273,9 @@ class Executor:
 
     # ------------------------------------------------------------------
     def _run_serial(self, jobs: Sequence[EvalJob]) -> list[EvalResult]:
-        runner = _JobRunner(self.search_config, self.policy, self.cache)
+        runner = _JobRunner(
+            self.search_config, self.policy, self.cache, self._axis_memo
+        )
         return [
             EvalResult(job=job, result=runner.evaluate(job), index=i)
             for i, job in enumerate(jobs)
