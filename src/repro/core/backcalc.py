@@ -403,11 +403,10 @@ def _classify(
     return class_of
 
 
-def _axis_classes(
-    stack: Stack, axis: str, extent: int, tile: int, cached: bool
-) -> AxisClasses:
-    """Back-calculate one axis of ``stack`` cut into spans of ``tile``
-    over ``[0, extent)`` and reduce it to its classes."""
+def _axis_classes(stack: Stack, axis: str, tile: int, cached: bool) -> AxisClasses:
+    """Back-calculate one axis of ``stack``, its output cut into spans
+    of ``tile``, and reduce it to its classes."""
+    extent = stack.sink.ox if axis == "x" else stack.sink.oy
     slices, input_slices = _axis_sequence(
         stack, axis, tile_edges(extent, tile), cached
     )
@@ -449,9 +448,10 @@ def _wiring(stack: Stack) -> tuple:
 class AxisMemo:
     """Axis classes by content, for repeated back-calculations.
 
-    An entry is keyed by the stack's layers and internal edges, the
-    axis, its extent, the tile size and whether the axis caches
-    overlap; its value is an immutable :class:`AxisClasses`.  Nothing
+    An entry is keyed by the stack's layers and internal edges (which
+    fix the axis's extent), the axis, the tile size and whether the
+    axis caches overlap; its value is an immutable
+    :class:`AxisClasses`.  Nothing
     of the accelerator enters back-calculation, so one memo serves
     every engine of an :class:`~repro.explore.executor.Executor`.
     Entries leave oldest first beyond :attr:`BOUND`.
@@ -468,10 +468,10 @@ class AxisMemo:
         return len(self._entries)
 
     def classes(
-        self, stack: Stack, axes: tuple[tuple[str, int, int, bool], ...]
+        self, stack: Stack, axes: tuple[tuple[str, int, bool], ...]
     ) -> list[AxisClasses]:
-        """:func:`_axis_classes` of ``stack`` for each ``(axis, extent,
-        tile, cached)`` of ``axes``, computed only on a miss."""
+        """:func:`_axis_classes` of ``stack`` for each ``(axis, tile,
+        cached)`` of ``axes``, computed only on a miss."""
         wiring = _wiring(stack)
         found = []
         for axis in axes:
@@ -501,7 +501,7 @@ def backcalculate(
     sink = stack.sink
     tx = min(tile_x, sink.ox)
     ty = min(tile_y, sink.oy)
-    axes = (("x", sink.ox, tx, mode.caches_x), ("y", sink.oy, ty, mode.caches_y))
+    axes = (("x", tx, mode.caches_x), ("y", ty, mode.caches_y))
     if memo is None:
         xs, ys = (_axis_classes(stack, *axis) for axis in axes)
     else:

@@ -27,6 +27,7 @@ from repro.core.geometry import tile_edges
 from repro.core.stacks import Stack, partition_stacks
 from repro.workloads.graph import WorkloadGraph
 from repro.workloads.layer import LayerSpec, OpType
+from repro.workloads.zoo import WORKLOAD_FACTORIES
 
 from ..conftest import make_branchy_workload, make_strided_workload, make_tiny_workload
 
@@ -129,16 +130,9 @@ class TestGridWalkEquivalence:
     def test_fixtures(self, make, mode, tile):
         assert_matches_grid_walk(only_stack(make()), mode, *tile)
 
-    @pytest.mark.parametrize(
-        "name, tiles",
-        [
-            ("fsrcnn", ZOO_TILES + [(960, 1), (1, 540)]),
-            *((name, ZOO_TILES) for name in (
-                "dmcnn_vd", "mccnn", "mobilenet_v1", "resnet18", "reference"
-            )),
-        ],
-    )
-    def test_zoo_stacks(self, name, tiles):
+    @pytest.mark.parametrize("name", list(WORKLOAD_FACTORIES))
+    def test_zoo_stacks(self, name):
+        tiles = ZOO_TILES + ([(960, 1), (1, 540)] if name == "fsrcnn" else [])
         accel = get_accelerator("meta_proto_like_df")
         for stack in partition_stacks(get_workload(name), accel):
             for mode in MODES:
@@ -159,8 +153,8 @@ class TestGridWalkEquivalence:
         x-class 0 alone it moves to the y-class's second row; with both
         classes 0 alone the pair holds tile (0, 0) only."""
         stack = only_stack(make_tiny_workload())
-        xs = _axis_classes(stack, "x", stack.sink.ox, 16, mode.caches_x)
-        ys = _axis_classes(stack, "y", stack.sink.oy, 8, mode.caches_y)
+        xs = _axis_classes(stack, "x", 16, mode.caches_x)
+        ys = _axis_classes(stack, "y", 8, mode.caches_y)
         assert (xs.tail0 is not None, ys.tail0 is not None) == (x_more, y_more)
         tiling = backcalculate(stack, mode, 16, 8)
         assert tiling == grid_walk(stack, mode, 16, 8)
@@ -245,9 +239,8 @@ class TestMemoKey:
                     stack, mode, *tile
                 )
 
-    def test_extent_is_part_of_the_key(self):
-        """The same wiring on a wider map (the extent comes with the
-        layers, so two entries either way) tiles differently."""
+    def test_map_size_is_part_of_the_key(self):
+        """The same wiring on a wider map: the layers fix the extent."""
         a = stack_of([conv("A"), conv("B")], [("A", "B")])
         b = stack_of([conv("A", x=30), conv("B", x=30)], [("A", "B")])
         ta, tb = self.assert_separate(a, b)
