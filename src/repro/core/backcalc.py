@@ -451,10 +451,10 @@ class AxisMemo:
     An entry is keyed by the stack's layers and internal edges (which
     fix the axis's extent), the axis, the tile size and whether the
     axis caches overlap; its value is an immutable
-    :class:`AxisClasses`.  Nothing
-    of the accelerator enters back-calculation, so one memo serves
-    every engine of an :class:`~repro.explore.executor.Executor`.
-    Entries leave oldest first beyond :attr:`BOUND`.
+    :class:`AxisClasses`.  Nothing of the accelerator enters
+    back-calculation, so one memo serves every engine of an
+    :class:`~repro.explore.executor.Executor`.  Entries leave oldest
+    first beyond :attr:`BOUND`.
     """
 
     #: Capacity (oldest out).  A 10-generation, 2-workload, 3-accelerator

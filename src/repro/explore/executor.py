@@ -183,6 +183,9 @@ class Executor:
         :meth:`close`, or until the executor is garbage-collected.
 
     Both backends return bit-identical results for the same job list.
+    The serial backend's engines share one
+    :class:`~repro.core.backcalc.AxisMemo`, kept across ``run()``
+    calls; each service shard keeps its own.
     """
 
     def __init__(
@@ -260,7 +263,7 @@ class Executor:
 
     def close(self) -> None:
         """Stop the service backend's shards (idempotent; the serial
-        backend holds no long-lived state)."""
+        backend starts no processes)."""
         self._service = None
         if self._finalizer is not None:
             self._finalizer()  # a no-op once it has run
