@@ -12,7 +12,7 @@ no memo, on a cold memo and on a memo hit.
 import pytest
 
 from repro import get_accelerator, get_workload
-from repro.core import DFStrategy, DepthFirstEngine, OverlapMode
+from repro.core import DFStrategy, DepthFirstEngine, OverlapMode, backcalc
 from repro.core.backcalc import (
     AxisMemo,
     LayerTileGeometry,
@@ -175,11 +175,10 @@ class TestGridWalkEquivalence:
 # ----------------------------------------------------------------------
 # The memo key
 # ----------------------------------------------------------------------
-def conv(name, f=3, pad=1, x=24, y=24, **kw):
+def conv(name, x=24, fx=3, fy=3, px=1, py=1):
     return LayerSpec(
-        name=name, op_type=OpType.CONV, k=4, c=4, ox=x, oy=y,
-        fx=kw.pop("fx", f), fy=kw.pop("fy", f), px=kw.pop("px", pad),
-        py=kw.pop("py", pad), **kw,
+        name=name, op_type=OpType.CONV, k=4, c=4, ox=x, oy=24,
+        fx=fx, fy=fy, px=px, py=py,
     )
 
 
@@ -195,14 +194,11 @@ class TestMemoKey:
     MODE = OverlapMode.FULLY_CACHED
     TILE = (5, 7)
 
-    def tilings(self, *stacks, memo=None):
-        memo = AxisMemo() if memo is None else memo
-        return memo, [backcalculate(s, self.MODE, *self.TILE, memo) for s in stacks]
-
     def assert_separate(self, a, b):
         """``a`` and ``b`` take two entries per axis and each equals its
         memo-free back-calculation."""
-        memo, (ta, tb) = self.tilings(a, b)
+        memo = AxisMemo()
+        ta, tb = (backcalculate(s, self.MODE, *self.TILE, memo) for s in (a, b))
         assert len(memo) == 4
         assert ta == backcalculate(a, self.MODE, *self.TILE)
         assert tb == backcalculate(b, self.MODE, *self.TILE)
@@ -225,7 +221,7 @@ class TestMemoKey:
         ta, tb = self.assert_separate(
             stack_of([conv("A")], []), stack_of([conv("B")], [])
         )
-        assert [g.layer.name for t in tb.tile_types for g in t.geometry] == ["B"] * len(tb.tile_types)
+        assert {g.layer.name for t in tb.tile_types for g in t.geometry} == {"B"}
 
     def test_axis_tile_and_caching_are_part_of_the_key(self):
         """x and y of one stack differ only by axis here (an fx != fy
@@ -247,15 +243,27 @@ class TestMemoKey:
         assert ta.grid_cols != tb.grid_cols
 
     def test_bound_evicts_oldest(self, monkeypatch):
+        computed = []
+        compute = backcalc._axis_classes
+
+        def counting(stack, axis, tile, cached):
+            computed.append((axis, tile))
+            return compute(stack, axis, tile, cached)
+
+        monkeypatch.setattr(backcalc, "_axis_classes", counting)
         monkeypatch.setattr(AxisMemo, "BOUND", 3)
         stack = stack_of([conv("A")], [])
         memo = AxisMemo()
         for tile in (1, 2, 3):
             backcalculate(stack, self.MODE, tile, tile, memo)
         assert len(memo) == 3
-        assert backcalculate(stack, self.MODE, 3, 3, memo) == backcalculate(
-            stack, self.MODE, 3, 3
-        )
+        computed.clear()
+        backcalculate(stack, self.MODE, 3, 3, memo)
+        assert computed == []
+        tiling = backcalculate(stack, self.MODE, 1, 1, memo)
+        assert computed == [("x", 1), ("y", 1)]
+        assert len(memo) == 3
+        assert tiling == grid_walk(stack, self.MODE, 1, 1)
 
 
 def outcome(result):
