@@ -17,11 +17,12 @@ Regenerate with::
 
     python -m benchmarks.bench_perf
 
-It takes about ten minutes on a 2-CPU host.  Times are a trajectory,
+It takes two to three minutes on a 2-CPU host.  Times are a trajectory,
 not a gate: the same host drifts by up to a third between runs an hour
 apart (``perfbench/layers.json``, ``host.noise``).  The exact counts are
 a gate: under pytest, a 1 s traced run of each traced workload must
-repeat the committed counts (about 30 s each on a 2-CPU host), and a
+repeat the committed counts (15 to 40 s each on a 2-CPU host, plus
+about 20 s the first time to prime ``sweep_warm``'s cache), and a
 change that moves one regenerates the file.
 """
 
