@@ -230,43 +230,43 @@ class LayerTileGeometry:
         return self.layer.k * self.x.required.width * self.y.cache_used
 
     # -- overlap cache of the stack input feature map -------------------
-    def _input_cache_elems(self, kind: str) -> int:
-        if self.input_x is None or self.input_y is None:
-            return 0
-        ch = self.layer.in_channels
-        if kind == "keep_h":
-            return ch * self.input_x.cache_keep * self.input_y.fresh.width
-        if kind == "keep_v":
-            return ch * self.input_x.fresh.width * self.input_y.cache_keep
-        if kind == "used_h":
-            return ch * self.input_x.cache_used * self.input_y.fresh.width
-        if kind == "used_v":
-            return ch * self.input_x.required.width * self.input_y.cache_used
-        if kind == "fresh":
-            return ch * self.input_x.fresh.width * self.input_y.fresh.width
-        raise ValueError(kind)
-
+    # Each is 0 for a layer that does not read the stack input.
     @property
     def input_fresh_elems(self) -> int:
         """Stack-input elements fetched fresh from the previous stack's
-        output location this tile (0 for non-source layers)."""
-        return self._input_cache_elems("fresh") if self.is_source else 0
+        output location this tile."""
+        ix, iy = self.input_x, self.input_y
+        if ix is None or iy is None:
+            return 0
+        return self.layer.in_channels * ix.fresh.width * iy.fresh.width
 
     @property
     def input_used_h_elems(self) -> int:
-        return self._input_cache_elems("used_h")
+        ix, iy = self.input_x, self.input_y
+        if ix is None or iy is None:
+            return 0
+        return self.layer.in_channels * ix.cache_used * iy.fresh.width
 
     @property
     def input_used_v_elems(self) -> int:
-        return self._input_cache_elems("used_v")
+        ix, iy = self.input_x, self.input_y
+        if ix is None or iy is None:
+            return 0
+        return self.layer.in_channels * ix.required.width * iy.cache_used
 
     @property
     def input_keep_h_elems(self) -> int:
-        return self._input_cache_elems("keep_h")
+        ix, iy = self.input_x, self.input_y
+        if ix is None or iy is None:
+            return 0
+        return self.layer.in_channels * ix.cache_keep * iy.fresh.width
 
     @property
     def input_keep_v_elems(self) -> int:
-        return self._input_cache_elems("keep_v")
+        ix, iy = self.input_x, self.input_y
+        if ix is None or iy is None:
+            return 0
+        return self.layer.in_channels * ix.fresh.width * iy.cache_keep
 
     def scaled_layer(self) -> LayerSpec:
         """The per-tile loop nest handed to the single-layer mapper."""

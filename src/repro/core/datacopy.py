@@ -22,7 +22,6 @@ class DataCopyAction:
     """One block move: ``elems`` data elements of ``bits`` precision from
     ``src`` to ``dst`` (distinct physical memories)."""
 
-    label: str
     elems: float
     bits: int
     src: MemoryLevel

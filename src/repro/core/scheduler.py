@@ -18,12 +18,12 @@ Feature maps crossing stack boundaries are placed in the lowest memory
 level they fit (layer-by-layer behaviour) or in DRAM (single-layer
 behaviour), per the strategy's :class:`StackBoundary`.
 
-An evaluation runs in three phases.  *Plan* runs steps 1-4 for every
-stack and lists each computed layer-tile's ``(scaled layer, tops)``
-search problem.  *Solve* hands that list to
-:meth:`~repro.mapping.loma.MappingSearchEngine.solve`, which scores the
-cache misses in grouped kernel calls.  *Assemble* runs step 5's
-searches in plan order (each miss takes its solved winner) and step 6.
+An evaluation has two phases.  *Plan* runs steps 1-4 for every stack
+and lists each computed layer-tile's ``(scaled layer, tops)`` search
+problem.  *Assemble* hands the list to
+:meth:`~repro.mapping.loma.MappingSearchEngine.search_all` for step 5
+(grouped scoring of the cache misses, then one search per problem in
+plan order, raising the tops of an infeasible one) and runs step 6.
 """
 
 from __future__ import annotations
@@ -31,20 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hardware.accelerator import Accelerator
-from ..hardware.memory import MemoryLevel
-from ..mapping.allocation import AllocationError
 from ..mapping.cache import MappingCache
 from ..mapping.cost import CostResult
-from ..mapping.loma import MappingSearchEngine, SearchConfig, raised_tops
+from ..mapping.loma import MappingSearchEngine, SearchConfig
 from ..workloads.graph import WorkloadGraph
 from ..workloads.layer import LayerSpec
-from .backcalc import (
-    AxisMemo,
-    LayerTileGeometry,
-    StackTiling,
-    TileType,
-    backcalculate,
-)
+from .backcalc import AxisMemo, StackTiling, TileType, backcalculate
 from .datacopy import DataCopyAction, copy_cost
 from .memlevels import MemLevelPolicy, TileMemoryPlan, plan_tile_memory
 from .results import ScheduleResult, StackResult, TileTypeResult
@@ -110,7 +102,7 @@ class DepthFirstEngine:
             fuse_depth=strategy.fuse_depth,
         )
         locations = self._boundary_locations(workload, strategy, stacks)
-        stack_results = self._solve_and_assemble(
+        stack_results = self._assemble(
             [
                 self._plan_stack(workload, strategy, stack, locations)
                 for stack in stacks
@@ -142,26 +134,23 @@ class DepthFirstEngine:
         if input_locations:
             locations.update(input_locations)
         plan = self._plan_stack(workload, strategy, stack, locations)
-        return self._solve_and_assemble([plan])[0]
+        return self._assemble([plan])[0]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _solve_and_assemble(self, plans: list[_StackPlan]) -> list[StackResult]:
-        """Steps 5-6 for planned stacks: score every layer-tile's cache
-        miss in grouped calls, then search each layer-tile in plan order
-        (taking the held winners) and accumulate the results."""
+    def _assemble(self, plans: list[_StackPlan]) -> list[StackResult]:
+        """Steps 5-6 for planned stacks: search every layer-tile problem
+        (:meth:`~repro.mapping.loma.MappingSearchEngine.search_all`), then
+        accumulate the stack results."""
         problems = [
             (layer, tops)
             for plan in plans
             for tile_plan in plan.tiles
             for _, layer, tops in tile_plan.searches
         ]
-        keys = iter(self.mapper.solve(self.accel, problems))
-        try:
-            return [self._assemble_stack(plan, keys) for plan in plans]
-        finally:
-            self.mapper.forget_solved()
+        found = iter(self.mapper.search_all(self.accel, problems))
+        return [self._assemble_stack(plan, found) for plan in plans]
 
     def _boundary_locations(
         self,
@@ -291,209 +280,90 @@ class DepthFirstEngine:
         plan: TileMemoryPlan,
         ext_location: dict[str, int],
     ) -> _TilePlan:
-        wl = stack.workload
-        geom_by_name = {g.layer.name: g for g in tile.geometry}
-        tops_by_name = {
-            g.layer.name: plan.layer_tops[i] for i, g in enumerate(tile.geometry)
-        }
+        """Step 4 for one tile type, and its layer-tile search problems.
+
+        Each computed layer-tile's data copies are one ordered list of
+        ``(elems, src, dst)`` moves at the layer's ``act_bits``, costed as
+        one :func:`copy_cost` bundle.  The order is fixed, because
+        ``copy_cost`` adds energies in it and its traffic order is part of
+        cache and golden bytes:
+
+        1. per producer, in ``predecessors`` order: its fresh output from
+           its O top, then its H- and V-cached overlap, into ``dest`` (the
+           layer's I top);
+        2. for a stack source: the stack input's fresh part from where it
+           lives, then its H- and V-cached parts;
+        3. the H and V spills of fresh overlap, from the layer's O top;
+        4. for a stack source: the stack input's H and V spills, from
+           ``dest``.
+
+        A move into or out of an absent cache level is never built (nor
+        its elements read); zero-element moves are left to ``copy_cost``.
+        """
         i_hier = self.accel.hierarchy("I")
         o_hier = self.accel.hierarchy("O")
         cache_h = plan.cache_level(self.accel, "h")
         cache_v = plan.cache_level(self.accel, "v")
+        # Each layer's geometry and O top, read by its consumers' gathers.
+        outputs = {
+            geom.layer.name: (geom, o_hier[layer_tops.tops["O"]])
+            for geom, layer_tops in zip(tile.geometry, plan.layer_tops)
+        }
 
         copy_total = CostResult()
         searches = []
         for idx, geom in enumerate(tile.geometry):
             if not geom.is_computed:
                 continue
+            layer = geom.layer
             tops = plan.layer_tops[idx].tops
             dest = i_hier[tops["I"]]
-            actions = self._gather_actions(
-                wl, geom, geom_by_name, tops_by_name, dest, o_hier,
-                cache_h, cache_v, ext_location, i_hier,
+            moves = []
+            for producer in stack.workload.predecessors(layer.name):
+                pgeom, p_top_o = outputs[producer.name]
+                moves.append((pgeom.output_elems, p_top_o, dest))
+                if cache_h is not None:
+                    moves.append((pgeom.used_h_elems, cache_h, dest))
+                if cache_v is not None:
+                    moves.append((pgeom.used_v_elems, cache_v, dest))
+            if geom.is_source:
+                src = i_hier[ext_location[layer.name]]
+                moves.append((geom.input_fresh_elems, src, dest))
+                if cache_h is not None:
+                    moves.append((geom.input_used_h_elems, cache_h, dest))
+                if cache_v is not None:
+                    moves.append((geom.input_used_v_elems, cache_v, dest))
+            top_o = o_hier[tops["O"]]
+            if cache_h is not None:
+                moves.append((geom.keep_h_elems, top_o, cache_h))
+            if cache_v is not None:
+                moves.append((geom.keep_v_elems, top_o, cache_v))
+            if geom.is_source:
+                if cache_h is not None:
+                    moves.append((geom.input_keep_h_elems, dest, cache_h))
+                if cache_v is not None:
+                    moves.append((geom.input_keep_v_elems, dest, cache_v))
+            bits = layer.act_bits
+            copy_total.add(
+                copy_cost([DataCopyAction(n, bits, s, d) for n, s, d in moves])
             )
-            actions.extend(
-                self._spill_actions(geom, o_hier[tops["O"]], cache_h, cache_v, dest)
-            )
-            copy_total.add(copy_cost(actions))
             searches.append((idx, geom.scaled_layer(), tops))
         return _TilePlan(tile=tile, plan=plan, copy_cost=copy_total, searches=searches)
 
-    def _assemble_stack(self, stack_plan: _StackPlan, keys) -> StackResult:
+    def _assemble_stack(self, stack_plan: _StackPlan, found) -> StackResult:
+        """Step 6 for one stack: its tile types' layer costs, taken in
+        plan order from ``found``, and copy costs, accumulated."""
         tile_results: list[TileTypeResult] = []
         total = CostResult()
         for tile_plan in stack_plan.tiles:
             tile = tile_plan.tile
             result = TileTypeResult(tile=tile, plan=tile_plan.plan)
             result.layer_costs = [CostResult() for _ in tile.geometry]
-            for idx, layer, tops in tile_plan.searches:
-                result.layer_costs[idx] = self._search_with_fallback(
-                    layer, tops, next(keys)
-                )
+            for idx, _, _ in tile_plan.searches:
+                result.layer_costs[idx] = next(found).cost
             result.copy_cost = tile_plan.copy_cost
             tile_results.append(result)
             total.add(result.cost, scale=tile.count)
         return StackResult(
             tiling=stack_plan.tiling, tile_results=tile_results, total=total
         )
-
-    def _search_with_fallback(
-        self, layer: LayerSpec, tops: dict, key: str | None = None
-    ) -> CostResult:
-        """Run the mapping search, progressively raising O then I to DRAM
-        when the planned tops turn out jointly infeasible (see
-        :func:`~repro.mapping.loma.raised_tops`).  ``key`` is the
-        planned tops' cache key when the caller holds it."""
-        try:
-            return self.mapper.search(layer, self.accel, tops=tops, key=key).cost
-        except AllocationError as exc:
-            last_error = exc
-        for attempt in raised_tops(self.accel, tops):
-            try:
-                return self.mapper.search(layer, self.accel, tops=attempt).cost
-            except AllocationError as exc:
-                last_error = exc
-        raise AllocationError(
-            f"{layer.name}: no feasible mapping even with DRAM tops"
-        ) from last_error
-
-    def _gather_actions(
-        self,
-        wl: WorkloadGraph,
-        geom: LayerTileGeometry,
-        geom_by_name: dict[str, LayerTileGeometry],
-        tops_by_name,
-        dest: MemoryLevel,
-        o_hier,
-        cache_h: MemoryLevel | None,
-        cache_v: MemoryLevel | None,
-        ext_location: dict[str, int],
-        i_hier,
-    ) -> list[DataCopyAction]:
-        """Step 4: collect this layer-tile's input pieces at ``dest``."""
-        layer = geom.layer
-        actions: list[DataCopyAction] = []
-        bits = layer.act_bits
-
-        for producer in wl.predecessors(layer.name):
-            pgeom = geom_by_name[producer.name]
-            p_top_o = o_hier[tops_by_name[producer.name].tops["O"]]
-            actions.append(
-                DataCopyAction(
-                    label=f"{layer.name}:fresh<-{producer.name}",
-                    elems=pgeom.output_elems,
-                    bits=bits,
-                    src=p_top_o,
-                    dst=dest,
-                )
-            )
-            if cache_h is not None and pgeom.used_h_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:hcache<-{producer.name}",
-                        elems=pgeom.used_h_elems,
-                        bits=bits,
-                        src=cache_h,
-                        dst=dest,
-                    )
-                )
-            if cache_v is not None and pgeom.used_v_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:vcache<-{producer.name}",
-                        elems=pgeom.used_v_elems,
-                        bits=bits,
-                        src=cache_v,
-                        dst=dest,
-                    )
-                )
-
-        if geom.is_source:
-            src_level = i_hier[ext_location[layer.name]]
-            if geom.input_fresh_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:fresh<-stack-input",
-                        elems=geom.input_fresh_elems,
-                        bits=bits,
-                        src=src_level,
-                        dst=dest,
-                    )
-                )
-            if cache_h is not None and geom.input_used_h_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:hcache<-stack-input",
-                        elems=geom.input_used_h_elems,
-                        bits=bits,
-                        src=cache_h,
-                        dst=dest,
-                    )
-                )
-            if cache_v is not None and geom.input_used_v_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:vcache<-stack-input",
-                        elems=geom.input_used_v_elems,
-                        bits=bits,
-                        src=cache_v,
-                        dst=dest,
-                    )
-                )
-        return actions
-
-    def _spill_actions(
-        self,
-        geom: LayerTileGeometry,
-        top_o: MemoryLevel,
-        cache_h: MemoryLevel | None,
-        cache_v: MemoryLevel | None,
-        dest_i: MemoryLevel,
-    ) -> list[DataCopyAction]:
-        """Step 4 (outbound): retain freshly computed overlap data in the
-        cache levels, and retain fresh stack-input halo likewise."""
-        layer = geom.layer
-        actions: list[DataCopyAction] = []
-        if cache_h is not None and geom.keep_h_elems:
-            actions.append(
-                DataCopyAction(
-                    label=f"{layer.name}:spill-h",
-                    elems=geom.keep_h_elems,
-                    bits=layer.act_bits,
-                    src=top_o,
-                    dst=cache_h,
-                )
-            )
-        if cache_v is not None and geom.keep_v_elems:
-            actions.append(
-                DataCopyAction(
-                    label=f"{layer.name}:spill-v",
-                    elems=geom.keep_v_elems,
-                    bits=layer.act_bits,
-                    src=top_o,
-                    dst=cache_v,
-                )
-            )
-        if geom.is_source:
-            if cache_h is not None and geom.input_keep_h_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:spill-input-h",
-                        elems=geom.input_keep_h_elems,
-                        bits=layer.act_bits,
-                        src=dest_i,
-                        dst=cache_h,
-                    )
-                )
-            if cache_v is not None and geom.input_keep_v_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:spill-input-v",
-                        elems=geom.input_keep_v_elems,
-                        bits=layer.act_bits,
-                        src=dest_i,
-                        dst=cache_v,
-                    )
-                )
-        return actions
-

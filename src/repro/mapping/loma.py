@@ -20,7 +20,8 @@ Candidates are integer rows over a problem's sorted distinct loops
 permutation order depends only on the loops' multiplicity pattern, so
 the permutation rows are memoized per pattern.  :meth:`~MappingSearchEngine.solve`
 scores many problems' cache misses in grouped kernel calls ahead of
-their searches (DESIGN.md §2.2).
+their searches, and :meth:`~MappingSearchEngine.search_all` runs both
+for a depth-first evaluation (DESIGN.md §2.2).
 """
 
 from __future__ import annotations
@@ -247,7 +248,8 @@ class MappingSearchEngine:
             cache = MappingCache()
         self.cache = cache
         # Winners :meth:`solve` scored, by normalized key, until the
-        # search that misses on the key takes its own.
+        # search that misses on the key takes its own (:meth:`search_all`
+        # drops the rest).
         self._solved: dict[str, tuple[SearchResult | None, str, bool]] = {}
 
     # ------------------------------------------------------------------
@@ -348,11 +350,6 @@ class MappingSearchEngine:
         if text is not None:
             self.cache.put(text, best)
         return best
-
-    def forget_solved(self) -> None:
-        """Drop the winners :meth:`solve` held that no search took (an
-        evaluation that raised part-way)."""
-        self._solved.clear()
 
     def _candidate_rows(
         self, layer: LayerSpec, accel: Accelerator
@@ -468,6 +465,43 @@ class MappingSearchEngine:
                     infeasible.append((layer, tops, raised[1:], key))
             chains = infeasible
         return keys
+
+    def search_all(
+        self,
+        accel: Accelerator,
+        problems: Sequence[tuple[LayerSpec, Mapping[str, int]]],
+    ) -> list[SearchResult]:
+        """Search every ``(layer, tops)`` problem, in order, after one
+        :meth:`solve` has scored their cache misses in grouped calls.
+
+        A problem whose tops have no feasible mapping is searched again
+        at each of its :func:`raised_tops` in turn, and raises
+        :class:`AllocationError` naming the layer when none is feasible.
+        Winners :meth:`solve` held that no search took are dropped on the
+        way out, also when a search raises.
+        """
+        keys = self.solve(accel, problems)
+        found = []
+        try:
+            for (layer, tops), key in zip(problems, keys):
+                try:
+                    found.append(self.search(layer, accel, tops, key=key))
+                    continue
+                except AllocationError as exc:
+                    error = exc
+                for attempt in raised_tops(accel, tops):
+                    try:
+                        found.append(self.search(layer, accel, attempt))
+                        break
+                    except AllocationError as exc:
+                        error = exc
+                else:
+                    raise AllocationError(
+                        f"{layer.name}: no feasible mapping even with DRAM tops"
+                    ) from error
+        finally:
+            self._solved.clear()
+        return found
 
     def _solve_grouped(
         self,

@@ -14,8 +14,8 @@ def levels():
     return level(lb, "IO"), level(gb, "IO"), level(dram, "WIO")
 
 
-def action(elems, src, dst, bits=8, label="x"):
-    return DataCopyAction(label=label, elems=elems, bits=bits, src=src, dst=dst)
+def action(elems, src, dst, bits=8):
+    return DataCopyAction(elems=elems, bits=bits, src=src, dst=dst)
 
 
 class TestCopyCost:
