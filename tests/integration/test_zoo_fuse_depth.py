@@ -24,12 +24,12 @@ TILES = ((16, 18), (60, 72))
 
 def costs(result) -> list[str]:
     """``repr`` of every cost: each field, traffic in insertion order."""
-    return [repr(result.total)] + [
-        repr(cost)
-        for sr in result.stacks
-        for cost in [sr.total]
-        + [c for tr in sr.tile_results for c in [*tr.layer_costs, tr.copy_cost]]
-    ]
+    found = [result.total]
+    for sr in result.stacks:
+        found.append(sr.total)
+        for tr in sr.tile_results:
+            found.extend([*tr.layer_costs, tr.copy_cost])
+    return [repr(cost) for cost in found]
 
 
 @pytest.fixture(scope="module")

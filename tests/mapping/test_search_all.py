@@ -28,7 +28,8 @@ def cache_state(engine):
 
 
 def counted(engine):
-    """Count the engine's ``search`` calls, one per attempt."""
+    """Record, at each of the engine's ``search`` calls (one per
+    attempt), how many winners it holds."""
     calls = []
     search = engine.search
 
@@ -52,13 +53,14 @@ def problems(accel):
 
 @pytest.fixture(scope="module")
 def infeasible(accel, problems):
-    """The problems with no feasible mapping at their planned tops."""
+    """The problems with no feasible mapping at their planned tops (a
+    fresh engine's solve holds every problem's winner)."""
     engine = MappingSearchEngine(CONFIG)
     keys = engine.solve(accel, problems)
     return [
         problem
         for problem, key in zip(problems, keys)
-        if engine._solved.get(key, (True,))[0] is None
+        if engine._solved[key][0] is None
     ]
 
 
