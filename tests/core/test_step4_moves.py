@@ -165,4 +165,5 @@ def test_moves_equal_the_block_builder(accel_name, axis_memo, monkeypatch):
                     for stack in stacks:
                         engine._plan_stack(workload, strategy, stack, locations)
     assert len(compared) > 5000
-    assert all(compared), f"{compared.count(False)} of {len(compared)} tile types differ"
+    differ = compared.count(False)
+    assert not differ, f"{differ} of {len(compared)} tile types differ"
