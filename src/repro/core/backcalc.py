@@ -10,9 +10,9 @@ fetched from wherever the previous stack left it.
 
 Everything is axis-separable (see :mod:`repro.core.geometry`): tiles are
 rectangles, layer transforms act per axis and the branch rule (Fig. 8) is
-a per-axis hull.  We therefore compute one geometry sequence per tile
-column and one per tile row, and group identical columns (rows) into
-*axis classes*.  Tiles with identical (column class, row class) pairs
+a per-axis hull.  We therefore walk each axis once, in plain integers,
+and group identical columns (rows) into *axis classes*; only each
+class's representative becomes geometry objects.  Tiles with identical (column class, row class) pairs
 are identical, so the tile types (Fig. 6) are the products of the two
 axes' classes, built without visiting the tiles themselves.  An
 :class:`AxisMemo` keeps each axis's classes by content, because the
@@ -22,11 +22,11 @@ accelerators.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Iterator
 
 from ..workloads.layer import LayerSpec
-from .geometry import EMPTY, Interval, input_interval, tile_edges
+from .geometry import EMPTY, Interval, axis_params, input_span
 from .stacks import Stack
 from .strategy import OverlapMode
 
@@ -48,97 +48,6 @@ class AxisGeometry:
     in_need: Interval
     cache_used: int  # elements served by the overlap cache this tile
     cache_keep: int  # freshly produced elements to retain for the next tile
-
-
-def _fresh_part(required: Interval, frontier: int, cached: bool, first: bool) -> Interval:
-    if not cached or first:
-        return required
-    lo = max(required.lo, frontier)
-    return Interval(lo, max(required.hi, lo))
-
-
-def _axis_sequence(
-    stack: Stack,
-    axis: str,
-    edges: list[Interval],
-    cached: bool,
-) -> tuple[list[dict[str, AxisGeometry]], list[dict[str, AxisGeometry]]]:
-    """Back-calculate per-layer and per-stack-input geometry for every
-    tile position along one axis.
-
-    Returns ``(layer_slices, input_slices)``: for each position, a dict
-    keyed by layer name (layer outputs) and a dict keyed by source-layer
-    name (the stack input feature maps they read).
-    """
-    wl = stack.workload
-    layers = stack.layers
-    reverse = [(l, wl.successors(l.name)) for l in reversed(layers)]
-    sink_name = stack.sink.name
-    sources = {l.name for l in wl.sources()}
-
-    frontier: dict[str, int] = {l.name: 0 for l in layers}
-    in_frontier: dict[str, int] = {name: 0 for name in sources}
-    layer_slices: list[dict[str, AxisGeometry]] = []
-    input_slices: list[dict[str, AxisGeometry]] = []
-
-    for idx, edge in enumerate(edges):
-        col: dict[str, AxisGeometry] = {}
-        for layer, consumers in reverse:
-            if layer.name == sink_name:
-                required = edge
-            else:
-                required = EMPTY
-                for consumer in consumers:
-                    required = required.hull(
-                        input_interval(consumer, col[consumer.name].fresh, axis)
-                    )
-            fresh = _fresh_part(required, frontier[layer.name], cached, idx == 0)
-            col[layer.name] = AxisGeometry(
-                required=required,
-                fresh=fresh,
-                in_need=input_interval(layer, fresh, axis),
-                cache_used=max(0, fresh.lo - required.lo),
-                cache_keep=0,
-            )
-        incol: dict[str, AxisGeometry] = {}
-        for name in sources:
-            window = col[name].in_need
-            fetched = _fresh_part(window, in_frontier[name], cached, idx == 0)
-            incol[name] = AxisGeometry(
-                required=window,
-                fresh=fetched,
-                in_need=EMPTY,
-                cache_used=max(0, fetched.lo - window.lo),
-                cache_keep=0,
-            )
-        layer_slices.append(col)
-        input_slices.append(incol)
-        for layer in layers:
-            frontier[layer.name] = max(
-                col[layer.name].fresh.hi, frontier[layer.name]
-            )
-        for name in sources:
-            in_frontier[name] = max(incol[name].fresh.hi, in_frontier[name])
-
-    if cached:
-        _fill_keeps(layer_slices, [l.name for l in layers])
-        _fill_keeps(input_slices, list(sources))
-    return layer_slices, input_slices
-
-
-def _fill_keeps(slices: list[dict[str, AxisGeometry]], names: list[str]) -> None:
-    """Forward pass: freshly produced elements each tile must retain for
-    its successor (clamped to the fresh span — older cached data is
-    already retained and needs no new spill)."""
-    for idx in range(len(slices) - 1):
-        cur, nxt = slices[idx], slices[idx + 1]
-        for name in names:
-            g = cur[name]
-            keep = max(
-                0,
-                g.fresh.hi - max(nxt[name].required.lo, g.fresh.lo),
-            )
-            slices[idx][name] = replace(g, cache_keep=keep)
 
 
 def _elems_to_bytes(elems: int, bits: int) -> int:
@@ -376,63 +285,176 @@ class AxisClasses:
         return sum(c.count for c in self.classes)
 
 
-def _classify(
-    slices: list[dict[str, AxisGeometry]],
-    input_slices: list[dict[str, AxisGeometry]],
-    stack: Stack,
-) -> list[int]:
-    """Group identical axis geometries into classes (class id per position)."""
+#: One position of an axis walk: per layer, its ``required``, ``fresh``
+#: and ``in_need`` spans as ``(lo, hi)``; per stack source, in stack
+#: order, the fetched part of its input window (the layer's ``in_need``).
+_Row = tuple[list, list, list, list]
 
-    def signature(g: AxisGeometry) -> tuple[int, ...]:
-        return (
-            g.required.width,
-            g.fresh.width,
-            g.in_need.width,
-            g.cache_used,
-            g.cache_keep,
-        )
 
-    seen: dict[tuple, int] = {}
-    class_of: list[int] = []
-    for idx, col in enumerate(slices):
-        sig = tuple(signature(col[l.name]) for l in stack.layers) + tuple(
-            signature(g) for _, g in sorted(input_slices[idx].items())
+def _axis_rows(
+    stack: Stack, axis: str, tile: int, cached: bool, sources: list[int]
+) -> Iterator[_Row]:
+    """Back-calculate every position of one axis, in plain integers.
+
+    Layers run from the sink back: the sink's required span is the
+    position's tile, every other layer's the Fig. 8 hull of its
+    consumers' ``in_need`` (an empty span takes the next one as it is),
+    and each ``in_need`` is :func:`~repro.core.geometry.input_span` of
+    the fresh span.  In cached modes a fresh part (and a source's fetched
+    part) starts at the frontier that earlier positions produced.
+    """
+    if tile < 1:
+        raise ValueError(f"tile must be >= 1, got {tile}")
+    wl = stack.workload
+    layers = stack.layers
+    n = len(layers)
+    at = {layer.name: i for i, layer in enumerate(layers)}
+    sink = at[stack.sink.name]
+    # Per layer, sink first: its index, its consumers' indices and the
+    # axis's convolution parameters.
+    steps = [
+        (
+            i,
+            tuple(at[c.name] for c in wl.successors(layers[i].name)),
+            axis_params(layers[i], axis),
         )
-        cls = seen.setdefault(sig, len(seen))
-        class_of.append(cls)
-    return class_of
+        for i in reversed(range(n))
+    ]
+    extent = stack.sink.ox if axis == "x" else stack.sink.oy
+    frontier = [0] * n
+    fetched_to = [0] * len(sources)
+    for lo in range(0, extent, tile):
+        carry = cached and lo > 0
+        required: list = [None] * n
+        fresh: list = [None] * n
+        need: list = [None] * n
+        for i, consumers, params in steps:
+            if i == sink:
+                span = (lo, min(lo + tile, extent))
+            else:
+                span = (0, 0)
+                for c in consumers:
+                    c_span = need[c]
+                    if span[1] <= span[0]:
+                        span = c_span
+                    elif c_span[1] > c_span[0]:
+                        span = (min(span[0], c_span[0]), max(span[1], c_span[1]))
+            required[i] = span
+            if carry:
+                f_lo = max(span[0], frontier[i])
+                span = (f_lo, max(span[1], f_lo))
+                frontier[i] = max(span[1], frontier[i])
+            elif cached:
+                frontier[i] = max(span[1], 0)
+            fresh[i] = span
+            need[i] = input_span(span[0], span[1], *params)
+        fetched = []
+        for j, i in enumerate(sources):
+            span = need[i]
+            if carry:
+                g_lo = max(span[0], fetched_to[j])
+                span = (g_lo, max(span[1], g_lo))
+                fetched_to[j] = max(span[1], fetched_to[j])
+            elif cached:
+                fetched_to[j] = max(span[1], 0)
+            fetched.append(span)
+        yield required, fresh, need, fetched
 
 
 def _axis_classes(stack: Stack, axis: str, tile: int, cached: bool) -> AxisClasses:
     """Back-calculate one axis of ``stack``, its output cut into spans
-    of ``tile``, and reduce it to its classes."""
-    extent = stack.sink.ox if axis == "x" else stack.sink.oy
-    slices, input_slices = _axis_sequence(
-        stack, axis, tile_edges(extent, tile), cached
-    )
-    class_of = _classify(slices, input_slices, stack)
-    names = [l.name for l in stack.layers]
+    of ``tile``, and reduce it to its classes.
 
-    def representative(position: int, count: int) -> AxisClass:
-        inputs = input_slices[position]
+    The positions come from :func:`_axis_rows`.  In cached modes a
+    position's keeps (the fresh elements the next position reuses) are
+    read once the next position is known.  A position's widths and
+    cache counts are its class signature; only class representatives
+    and ``tail0`` become :class:`AxisGeometry` objects.
+    """
+    n = len(stack.layers)
+    wl = stack.workload
+    sources = [i for i, layer in enumerate(stack.layers) if wl.is_source(layer.name)]
+    signatures: dict[tuple[int, ...], int] = {}
+    # Per class in order of first appearance: [position, count, row, keeps].
+    found: list[list] = []
+    tail0 = None
+
+    rows = _axis_rows(stack, axis, tile, cached, sources)
+    following = next(rows)
+    position = -1
+    while following is not None:
+        position += 1
+        row, following = following, next(rows, None)
+        required, fresh, need, fetched = row
+        keeps = [0] * (n + len(sources))
+        signature = []
+        for i in range(n):
+            r_lo, r_hi = required[i]
+            f_lo, f_hi = fresh[i]
+            n_lo, n_hi = need[i]
+            if cached and following is not None:
+                keep = f_hi - max(following[0][i][0], f_lo)
+                keeps[i] = keep if keep > 0 else 0
+            signature += (
+                r_hi - r_lo if r_hi > r_lo else 0,
+                f_hi - f_lo if f_hi > f_lo else 0,
+                n_hi - n_lo if n_hi > n_lo else 0,
+                f_lo - r_lo,
+                keeps[i],
+            )
+        for j, i in enumerate(sources):
+            w_lo, w_hi = need[i]
+            g_lo, g_hi = fetched[j]
+            if cached and following is not None:
+                keep = g_hi - max(following[2][i][0], g_lo)
+                keeps[n + j] = keep if keep > 0 else 0
+            signature += (
+                w_hi - w_lo if w_hi > w_lo else 0,
+                g_hi - g_lo if g_hi > g_lo else 0,
+                g_lo - w_lo,
+                keeps[n + j],
+            )
+        cls = signatures.setdefault(tuple(signature), len(found))
+        if cls == len(found):
+            found.append([position, 1, row, keeps])
+        else:
+            found[cls][1] += 1
+            if cls == 0 and tail0 is None:
+                tail0 = (position, row, keeps)
+
+    def representative(position: int, count: int, row: _Row, keeps: list) -> AxisClass:
+        required, fresh, need, fetched = row
+        inputs: list[AxisGeometry | None] = [None] * n
+        for j, i in enumerate(sources):
+            window, got = need[i], fetched[j]
+            inputs[i] = AxisGeometry(
+                required=Interval(*window),
+                fresh=Interval(*got),
+                in_need=EMPTY,
+                cache_used=got[0] - window[0],
+                cache_keep=keeps[n + j],
+            )
         return AxisClass(
             position=position,
             count=count,
-            layers=tuple(slices[position][n] for n in names),
-            inputs=tuple(inputs.get(n) for n in names),
+            layers=tuple(
+                AxisGeometry(
+                    required=Interval(*required[i]),
+                    fresh=Interval(*fresh[i]),
+                    in_need=Interval(*need[i]),
+                    cache_used=fresh[i][0] - required[i][0],
+                    cache_keep=keeps[i],
+                )
+                for i in range(n)
+            ),
+            inputs=tuple(inputs),
         )
 
-    counts = Counter(class_of)
-    first: dict[int, int] = {}
-    second0 = None
-    for position, cls in enumerate(class_of):
-        if cls not in first:
-            first[cls] = position
-        elif cls == 0 and second0 is None:
-            second0 = position
     return AxisClasses(
-        classes=tuple(representative(first[c], counts[c]) for c in first),
-        tail0=None if second0 is None else representative(second0, counts[0] - 1),
+        classes=tuple(representative(*cls) for cls in found),
+        tail0=None
+        if tail0 is None
+        else representative(tail0[0], found[0][1] - 1, *tail0[1:]),
     )
 
 

@@ -58,23 +58,34 @@ def layer_kernel_extent(layer: LayerSpec, axis: str) -> int:
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def input_interval(layer: LayerSpec, out: Interval, axis: str) -> Interval:
-    """Input span needed to compute the output span ``out`` along ``axis``.
+def axis_params(layer: LayerSpec, axis: str) -> tuple[int, int, int, int]:
+    """``(stride, pad, kernel extent, input size)`` of ``layer`` along
+    ``axis``: the arguments :func:`input_span` takes after the span."""
+    extent = layer_kernel_extent(layer, axis)
+    if axis == "x":
+        return layer.sx, layer.px, extent, layer.ix
+    return layer.sy, layer.py, extent, layer.iy
 
-    Applies the convolution relation ``in = [o_lo*s - p,
-    (o_hi-1)*s - p + kernel_extent)`` and clips to the valid input range,
-    so padding pixels are neither fetched nor counted.
-    """
+
+def input_span(
+    lo: int, hi: int, stride: int, pad: int, extent: int, size: int
+) -> tuple[int, int]:
+    """Input span ``(lo, hi)`` needed to compute the output span
+    ``[lo, hi)``: the convolution relation ``in = [lo*s - p,
+    (hi-1)*s - p + kernel_extent)`` clipped to the valid input range
+    ``[0, size)``, so padding pixels are neither fetched nor counted.
+    An empty output span needs ``(0, 0)``."""
+    if hi <= lo:
+        return 0, 0
+    return max(lo * stride - pad, 0), min((hi - 1) * stride - pad + extent, size)
+
+
+def input_interval(layer: LayerSpec, out: Interval, axis: str) -> Interval:
+    """Input span needed to compute the output span ``out`` along
+    ``axis`` (:func:`input_span` on :class:`Interval` objects)."""
     if out.empty:
         return EMPTY
-    if axis == "x":
-        stride, pad, size = layer.sx, layer.px, layer.ix
-    else:
-        stride, pad, size = layer.sy, layer.py, layer.iy
-    extent = layer_kernel_extent(layer, axis)
-    lo = out.lo * stride - pad
-    hi = (out.hi - 1) * stride - pad + extent
-    return Interval(lo, hi).clip(0, size)
+    return Interval(*input_span(out.lo, out.hi, *axis_params(layer, axis)))
 
 
 def tile_edges(total: int, tile: int) -> list[Interval]:

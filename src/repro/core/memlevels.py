@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..hardware.accelerator import Accelerator
-from ..hardware.memory import MemoryLevel
+from ..hardware.memory import OPERANDS, MemoryLevel
 from .backcalc import TileType
 
 
@@ -57,45 +57,69 @@ class TileMemoryPlan:
         return accel.hierarchy("I")[idx]
 
 
-def _fits(level: MemoryLevel, need: float, reserved: Mapping[int, float]) -> bool:
-    if level.instance.is_dram:
-        return True
-    available = level.instance.size_bytes - reserved.get(level.instance.uid, 0.0)
-    return need <= available
+@dataclass(frozen=True, slots=True)
+class _Levels:
+    """Step 3's view of one operand's hierarchy under one policy.
+
+    Per hierarchy index: the level's instance ``uid``, whether it is
+    DRAM and its global rank.  ``candidates`` are the levels that may be
+    tops, lowest first, as ``(index, uid, size, is_dram)``.
+    """
+
+    uid: tuple[int, ...]
+    dram: tuple[bool, ...]
+    rank: tuple[int, ...]
+    candidates: tuple[tuple[int, int, int, bool], ...]
 
 
-def _lowest_fit(
-    accel: Accelerator,
-    operand: str,
-    need: float,
-    reserved: Mapping[int, float],
-    policy: MemLevelPolicy,
-    minimum: int = 0,
-) -> int:
-    """Lowest hierarchy index of ``operand`` whose level fits ``need``."""
+def _operand_levels(accel: Accelerator, operand: str, multi_level_skip: bool) -> _Levels:
     hierarchy = accel.hierarchy(operand)
-    candidates = range(minimum, len(hierarchy))
-    if not policy.multi_level_skip:
+    instances = [level.instance for level in hierarchy]
+    indices = list(range(len(hierarchy)))
+    if not multi_level_skip:
         # Only the highest on-chip level or DRAM may serve as a top.
-        on_chip = [
-            i for i in candidates if not hierarchy[i].instance.is_dram
-        ]
-        allowed = ([on_chip[-1]] if on_chip else []) + [len(hierarchy) - 1]
-        candidates = [i for i in allowed if i >= minimum]
-    for idx in candidates:
-        level = hierarchy[idx]
-        if level.instance.per_pe:
-            continue
-        if _fits(level, need, reserved):
+        on_chip = [i for i in indices if not instances[i].is_dram]
+        indices = on_chip[-1:] + [len(hierarchy) - 1]
+    return _Levels(
+        uid=tuple(inst.uid for inst in instances),
+        dram=tuple(inst.is_dram for inst in instances),
+        rank=tuple(accel.level_rank(level) for level in hierarchy),
+        # Per-PE levels are never tops.
+        candidates=tuple(
+            (i, instances[i].uid, instances[i].size_bytes, instances[i].is_dram)
+            for i in indices
+            if not instances[i].per_pe
+        ),
+    )
+
+
+def _level_table(accel: Accelerator, multi_level_skip: bool) -> dict[str, _Levels]:
+    """Per operand, :class:`_Levels` of ``accel`` under one value of
+    :attr:`MemLevelPolicy.multi_level_skip`: built once per accelerator
+    and value, and held on the accelerator (dropped on pickling)."""
+    tables = accel.memo("_step3_levels", dict)
+    table = tables.get(multi_level_skip)
+    if table is None:
+        table = tables[multi_level_skip] = {
+            op: _operand_levels(accel, op, multi_level_skip) for op in OPERANDS
+        }
+    return table
+
+
+def _lowest_fit(levels: _Levels, need: float, reserved: Mapping[int, float]) -> int:
+    """Lowest candidate index whose level fits ``need`` next to
+    ``reserved`` (bytes per instance uid); DRAM always fits."""
+    for idx, uid, size, dram in levels.candidates:
+        if dram or need <= size - reserved.get(uid, 0.0):
             return idx
-    return len(hierarchy) - 1
+    return len(levels.uid) - 1
 
 
 def weight_resident_index(accel: Accelerator, stack_weight_bytes: int) -> int:
-    """Lowest non-register W level holding the stack's resident weights."""
-    reserved: dict[int, float] = {}
-    policy = MemLevelPolicy()
-    return _lowest_fit(accel, "W", float(stack_weight_bytes), reserved, policy)
+    """Lowest non-register W level holding the stack's resident weights
+    (fitted under the default policy, whatever the engine's)."""
+    table = _level_table(accel, MemLevelPolicy().multi_level_skip)
+    return _lowest_fit(table["W"], float(stack_weight_bytes), {})
 
 
 def plan_tile_memory(
@@ -114,90 +138,83 @@ def plan_tile_memory(
     final output must land (O hierarchy index).
     """
     policy = policy or MemLevelPolicy()
-    stack = tile.geometry
+    table = _level_table(accel, policy.multi_level_skip)
+    w_levels, i_levels, o_levels = table["W"], table["I"], table["O"]
     w_resident_idx = weight_resident_index(accel, stack_weight_bytes)
-    w_hierarchy = accel.hierarchy("W")
-    w_resident = w_hierarchy[w_resident_idx]
+    # The resident weights' instance, when on chip.
+    w_uid = None if w_levels.dram[w_resident_idx] else w_levels.uid[w_resident_idx]
 
-    sink_name = stack[-1].layer.name
+    sink_name = tile.geometry[-1].layer.name
     layer_tops: list[LayerTops] = []
     io_peak: dict[int, float] = {}  # instance uid -> max I+O bytes seen
 
-    for geom in stack:
+    for geom in tile.geometry:
         layer = geom.layer
+        input_bytes = geom.input_bytes
+        output_bytes = geom.output_bytes
         reserved: dict[int, float] = {}
-        if not w_resident.instance.is_dram:
-            reserved[w_resident.instance.uid] = float(stack_weight_bytes)
+        if w_uid is not None:
+            reserved[w_uid] = float(stack_weight_bytes)
 
         # Weights: the first tile streams them from DRAM (Fig. 9).
         if layer.weight_count == 0:
             top_w = 0
         elif tile.is_first_tile:
-            top_w = len(w_hierarchy) - 1
+            top_w = len(w_levels.uid) - 1
         else:
             top_w = w_resident_idx
 
         # Inputs: forced to the stack input location for source layers.
-        if geom.layer.name in input_source:
-            top_i = input_source[geom.layer.name]
+        if layer.name in input_source:
+            top_i = input_source[layer.name]
         else:
-            top_i = _lowest_fit(
-                accel, "I", float(geom.input_bytes), reserved, policy
-            )
-        i_level = accel.hierarchy("I")[top_i]
-        if not i_level.instance.is_dram:
-            reserved[i_level.instance.uid] = (
-                reserved.get(i_level.instance.uid, 0.0) + geom.input_bytes
-            )
+            top_i = _lowest_fit(i_levels, float(input_bytes), reserved)
+        if not i_levels.dram[top_i]:
+            uid = i_levels.uid[top_i]
+            reserved[uid] = reserved.get(uid, 0.0) + input_bytes
 
         # Outputs: forced for the stack sink.
         if layer.name == sink_name:
             top_o = output_dest_idx
         else:
-            top_o = _lowest_fit(
-                accel, "O", float(geom.output_bytes), reserved, policy
-            )
-        o_level = accel.hierarchy("O")[top_o]
-        if not o_level.instance.is_dram:
-            reserved[o_level.instance.uid] = (
-                reserved.get(o_level.instance.uid, 0.0) + geom.output_bytes
-            )
+            top_o = _lowest_fit(o_levels, float(output_bytes), reserved)
+        if not o_levels.dram[top_o]:
+            uid = o_levels.uid[top_o]
+            reserved[uid] = reserved.get(uid, 0.0) + output_bytes
 
         for uid, amount in reserved.items():
-            if not w_resident.instance.is_dram and uid == w_resident.instance.uid:
+            if uid == w_uid:
                 amount -= stack_weight_bytes
             io_peak[uid] = max(io_peak.get(uid, 0.0), amount)
 
-        ranks = {
-            "W": accel.level_rank(w_hierarchy[top_w]),
-            "I": accel.level_rank(accel.hierarchy("I")[top_i]),
-            "O": accel.level_rank(accel.hierarchy("O")[top_o]),
-        }
         layer_tops.append(
-            LayerTops(tops={"W": top_w, "I": top_i, "O": top_o}, ranks=ranks)
+            LayerTops(
+                tops={"W": top_w, "I": top_i, "O": top_o},
+                ranks={
+                    "W": w_levels.rank[top_w],
+                    "I": i_levels.rank[top_i],
+                    "O": o_levels.rank[top_o],
+                },
+            )
         )
 
     # Cached data: lowest priority, sees the peak I/O pressure plus the
     # resident weights.
     cache_reserved = dict(io_peak)
-    if not w_resident.instance.is_dram:
-        cache_reserved[w_resident.instance.uid] = (
-            cache_reserved.get(w_resident.instance.uid, 0.0) + stack_weight_bytes
-        )
+    if w_uid is not None:
+        cache_reserved[w_uid] = cache_reserved.get(w_uid, 0.0) + stack_weight_bytes
 
     cache_h_idx: int | None = None
     cache_v_idx: int | None = None
     h_bytes = float(tile.h_cache_bytes)
     v_bytes = float(tile.v_cache_line_bytes)
     if h_bytes > 0:
-        cache_h_idx = _lowest_fit(accel, "I", h_bytes, cache_reserved, policy)
-        level = accel.hierarchy("I")[cache_h_idx]
-        if not level.instance.is_dram:
-            cache_reserved[level.instance.uid] = (
-                cache_reserved.get(level.instance.uid, 0.0) + h_bytes
-            )
+        cache_h_idx = _lowest_fit(i_levels, h_bytes, cache_reserved)
+        if not i_levels.dram[cache_h_idx]:
+            uid = i_levels.uid[cache_h_idx]
+            cache_reserved[uid] = cache_reserved.get(uid, 0.0) + h_bytes
     if v_bytes > 0:
-        cache_v_idx = _lowest_fit(accel, "I", v_bytes, cache_reserved, policy)
+        cache_v_idx = _lowest_fit(i_levels, v_bytes, cache_reserved)
 
     return TileMemoryPlan(
         w_resident_idx=w_resident_idx,

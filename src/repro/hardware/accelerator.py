@@ -105,11 +105,13 @@ class Accelerator:
     # ------------------------------------------------------------------
     # Memory hierarchy
     # ------------------------------------------------------------------
-    def _memo(self, name: str, build):
-        """Per-instance memo for derived tables: a frozen accelerator's
-        levels never change, so each table is built once.  Memos live in
-        ``__dict__`` and are dropped on pickling (:meth:`__getstate__`);
-        ``dataclasses.replace`` builds a fresh instance without them."""
+    def memo(self, name: str, build):
+        """Per-instance memo for derived tables, here and in the modules
+        that read the levels: a frozen accelerator's levels never change,
+        so each table is built once.  ``name`` must start with ``_``.
+        Memos live in ``__dict__`` and are dropped on pickling
+        (:meth:`__getstate__`); ``dataclasses.replace`` builds a fresh
+        instance without them."""
         cached = self.__dict__.get(name)
         if cached is None:
             cached = build()
@@ -123,7 +125,7 @@ class Accelerator:
 
     def hierarchy(self, operand: str) -> tuple[MemoryLevel, ...]:
         """The operand's memory levels, lowest first, DRAM last."""
-        hierarchy = self._memo("_hierarchies", self._build_hierarchies).get(operand)
+        hierarchy = self.memo("_hierarchies", self._build_hierarchies).get(operand)
         if hierarchy is None:
             raise ValueError(f"unknown operand {operand!r}")
         return hierarchy
@@ -136,7 +138,7 @@ class Accelerator:
 
     def top_level_index(self, operand: str) -> int:
         """Index of DRAM in the operand's hierarchy."""
-        tops = self._memo(
+        tops = self.memo(
             "_top_indices",
             lambda: {op: len(self.hierarchy(op)) - 1 for op in OPERANDS},
         )
@@ -147,7 +149,7 @@ class Accelerator:
     def level_rank(self, level: MemoryLevel) -> int:
         """Global position of a level (for cross-operand comparisons and
         Fig. 9-style 'Reg < LB < GB < DRAM' reporting)."""
-        ranks = self._memo(
+        ranks = self.memo(
             "_level_ranks",
             lambda: {id(lvl): self._scan_rank(lvl) for lvl in self.levels},
         )
@@ -172,7 +174,7 @@ class Accelerator:
         bandwidth limits through this on every mapping evaluation, so the
         table is built once per accelerator, not once per call (the
         instances of a frozen accelerator never change)."""
-        return self._memo(
+        return self.memo(
             "_instances_by_uid",
             lambda: {inst.uid: inst for inst in self.instances()},
         )

@@ -31,18 +31,22 @@ class WorkloadGraph:
         """Add ``layer`` to the graph, consuming the outputs of ``inputs``.
 
         ``inputs`` is an iterable of existing layer names; an empty iterable
-        marks the layer as consuming the external network input.
+        marks the layer as consuming the external network input.  Every
+        input is checked before the graph changes, so a rejected layer
+        leaves no trace.  The new node only gains in-edges from existing
+        nodes, so it cannot close a cycle.
         """
         if layer.name in self._graph:
             raise ValueError(f"duplicate layer name {layer.name!r}")
-        self._graph.add_node(layer.name, layer=layer)
+        inputs = list(inputs)
         for src in inputs:
+            if src == layer.name:
+                raise ValueError(f"adding {layer.name!r} would create a cycle")
             if src not in self._graph:
                 raise KeyError(f"unknown input layer {src!r} for {layer.name!r}")
+        self._graph.add_node(layer.name, layer=layer)
+        for src in inputs:
             self._graph.add_edge(src, layer.name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_node(layer.name)
-            raise ValueError(f"adding {layer.name!r} would create a cycle")
         return layer
 
     # ------------------------------------------------------------------

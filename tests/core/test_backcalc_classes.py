@@ -1,6 +1,11 @@
-"""Differential tests of tile-type assembly from axis classes, and of the
-back-calculation memo's key.
+"""Differential tests of axis classes and of tile-type assembly from
+them, and of the back-calculation memo's key.
 
+:func:`_axis_sequence` is the object walk that built an ``Interval`` and
+an ``AxisGeometry`` per position and layer; :func:`_classify` groups its
+positions.  :func:`~repro.core.backcalc._axis_classes` now walks the
+positions in plain integers, and must give the
+:class:`~repro.core.backcalc.AxisClasses` built from the object walk.
 :func:`grid_walk` is the tile grouping that walked every tile of the
 grid; :func:`~repro.core.backcalc.backcalculate` now builds the same
 tile types from the product of the x and y axis classes.  Every case
@@ -9,21 +14,26 @@ order, counts, representatives, first-tile flags and geometry), with
 no memo, on a cold memo and on a memo hit.
 """
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro import get_accelerator, get_workload
 from repro.core import DFStrategy, DepthFirstEngine, OverlapMode, backcalc
 from repro.core.backcalc import (
+    AxisClass,
+    AxisClasses,
+    AxisGeometry,
     AxisMemo,
     LayerTileGeometry,
     StackTiling,
     TileType,
     _axis_classes,
-    _axis_sequence,
-    _classify,
     backcalculate,
 )
-from repro.core.geometry import tile_edges
+from repro.core.geometry import EMPTY, Interval, input_interval, tile_edges
+from repro.core.optimizer import PAPER_TILE_GRID_X, PAPER_TILE_GRID_Y
 from repro.core.stacks import Stack, partition_stacks
 from repro.workloads.graph import WorkloadGraph
 from repro.workloads.layer import LayerSpec, OpType
@@ -32,6 +42,179 @@ from repro.workloads.zoo import WORKLOAD_FACTORIES
 from ..conftest import make_branchy_workload, make_strided_workload, make_tiny_workload
 
 MODES = list(OverlapMode)
+
+
+# ----------------------------------------------------------------------
+# The object walk: the reference for the integer walk of _axis_classes
+# ----------------------------------------------------------------------
+def _fresh_part(required: Interval, frontier: int, cached: bool, first: bool) -> Interval:
+    if not cached or first:
+        return required
+    lo = max(required.lo, frontier)
+    return Interval(lo, max(required.hi, lo))
+
+
+def _axis_sequence(
+    stack: Stack,
+    axis: str,
+    edges: list[Interval],
+    cached: bool,
+) -> tuple[list[dict[str, AxisGeometry]], list[dict[str, AxisGeometry]]]:
+    """Back-calculate per-layer and per-stack-input geometry for every
+    tile position along one axis.
+
+    Returns ``(layer_slices, input_slices)``: for each position, a dict
+    keyed by layer name (layer outputs) and a dict keyed by source-layer
+    name (the stack input feature maps they read).
+    """
+    wl = stack.workload
+    layers = stack.layers
+    reverse = [(l, wl.successors(l.name)) for l in reversed(layers)]
+    sink_name = stack.sink.name
+    sources = {l.name for l in wl.sources()}
+
+    frontier: dict[str, int] = {l.name: 0 for l in layers}
+    in_frontier: dict[str, int] = {name: 0 for name in sources}
+    layer_slices: list[dict[str, AxisGeometry]] = []
+    input_slices: list[dict[str, AxisGeometry]] = []
+
+    for idx, edge in enumerate(edges):
+        col: dict[str, AxisGeometry] = {}
+        for layer, consumers in reverse:
+            if layer.name == sink_name:
+                required = edge
+            else:
+                required = EMPTY
+                for consumer in consumers:
+                    required = required.hull(
+                        input_interval(consumer, col[consumer.name].fresh, axis)
+                    )
+            fresh = _fresh_part(required, frontier[layer.name], cached, idx == 0)
+            col[layer.name] = AxisGeometry(
+                required=required,
+                fresh=fresh,
+                in_need=input_interval(layer, fresh, axis),
+                cache_used=max(0, fresh.lo - required.lo),
+                cache_keep=0,
+            )
+        incol: dict[str, AxisGeometry] = {}
+        for name in sources:
+            window = col[name].in_need
+            fetched = _fresh_part(window, in_frontier[name], cached, idx == 0)
+            incol[name] = AxisGeometry(
+                required=window,
+                fresh=fetched,
+                in_need=EMPTY,
+                cache_used=max(0, fetched.lo - window.lo),
+                cache_keep=0,
+            )
+        layer_slices.append(col)
+        input_slices.append(incol)
+        for layer in layers:
+            frontier[layer.name] = max(
+                col[layer.name].fresh.hi, frontier[layer.name]
+            )
+        for name in sources:
+            in_frontier[name] = max(incol[name].fresh.hi, in_frontier[name])
+
+    if cached:
+        _fill_keeps(layer_slices, [l.name for l in layers])
+        _fill_keeps(input_slices, list(sources))
+    return layer_slices, input_slices
+
+
+def _fill_keeps(slices: list[dict[str, AxisGeometry]], names: list[str]) -> None:
+    """Forward pass: freshly produced elements each tile must retain for
+    its successor (clamped to the fresh span — older cached data is
+    already retained and needs no new spill)."""
+    for idx in range(len(slices) - 1):
+        cur, nxt = slices[idx], slices[idx + 1]
+        for name in names:
+            g = cur[name]
+            keep = max(
+                0,
+                g.fresh.hi - max(nxt[name].required.lo, g.fresh.lo),
+            )
+            slices[idx][name] = replace(g, cache_keep=keep)
+
+
+def _classify(
+    slices: list[dict[str, AxisGeometry]],
+    input_slices: list[dict[str, AxisGeometry]],
+    stack: Stack,
+) -> list[int]:
+    """Group identical axis geometries into classes (class id per position)."""
+
+    def signature(g: AxisGeometry) -> tuple[int, ...]:
+        return (
+            g.required.width,
+            g.fresh.width,
+            g.in_need.width,
+            g.cache_used,
+            g.cache_keep,
+        )
+
+    seen: dict[tuple, int] = {}
+    class_of: list[int] = []
+    for idx, col in enumerate(slices):
+        sig = tuple(signature(col[l.name]) for l in stack.layers) + tuple(
+            signature(g) for _, g in sorted(input_slices[idx].items())
+        )
+        cls = seen.setdefault(sig, len(seen))
+        class_of.append(cls)
+    return class_of
+
+
+def reference_classes(stack: Stack, axis: str, tile: int, cached: bool) -> AxisClasses:
+    """The axis classes of the object walk: each class held by its
+    lowest position, in order of first appearance, plus ``tail0``."""
+    extent = stack.sink.ox if axis == "x" else stack.sink.oy
+    slices, input_slices = _axis_sequence(stack, axis, tile_edges(extent, tile), cached)
+    class_of = _classify(slices, input_slices, stack)
+    names = [l.name for l in stack.layers]
+
+    def representative(position: int, count: int) -> AxisClass:
+        inputs = input_slices[position]
+        return AxisClass(
+            position=position,
+            count=count,
+            layers=tuple(slices[position][n] for n in names),
+            inputs=tuple(inputs.get(n) for n in names),
+        )
+
+    counts = Counter(class_of)
+    first: dict[int, int] = {}
+    second0 = None
+    for position, cls in enumerate(class_of):
+        if cls not in first:
+            first[cls] = position
+        elif cls == 0 and second0 is None:
+            second0 = position
+    return AxisClasses(
+        classes=tuple(representative(first[c], counts[c]) for c in first),
+        tail0=None if second0 is None else representative(second0, counts[0] - 1),
+    )
+
+
+def assert_classes_match(stack: Stack, mode: OverlapMode, tile_x: int, tile_y: int):
+    """Both axes of the tiling equal the object walk's classes, field by
+    field: every representative's position, count and geometry, the
+    class order and ``tail0``."""
+    sink = stack.sink
+    for axis, tile, cached in (
+        ("x", min(tile_x, sink.ox), mode.caches_x),
+        ("y", min(tile_y, sink.oy), mode.caches_y),
+    ):
+        expected = reference_classes(stack, axis, tile, cached)
+        found = _axis_classes(stack, axis, tile, cached)
+        assert [(c.position, c.count) for c in found.classes] == [
+            (c.position, c.count) for c in expected.classes
+        ]
+        for got, want in zip(found.classes, expected.classes):
+            assert got.layers == want.layers
+            assert got.inputs == want.inputs
+        assert found.tail0 == expected.tail0
+        assert found == expected
 
 
 def grid_walk(stack: Stack, mode: OverlapMode, tile_x: int, tile_y: int) -> StackTiling:
@@ -119,6 +302,60 @@ FIXTURE_TILES = [(48, 32), (10_000, 10_000), (48, 5), (7, 32), (16, 8), (7, 5), 
 #: Fig. 12 tiles and an uneven small tile on every zoo workload; fsrcnn
 #: also runs its one-column (960 x 1) and one-row (1 x 540) grids.
 ZOO_TILES = [(16, 18), (60, 72), (240, 270), (7, 5)]
+
+
+class TestIntegerWalk:
+    """``_axis_classes`` equals the object walk's classes."""
+
+    @pytest.mark.parametrize("tile", FIXTURE_TILES)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "make", [make_tiny_workload, make_branchy_workload, make_strided_workload]
+    )
+    def test_fixtures(self, make, mode, tile):
+        assert_classes_match(only_stack(make()), mode, *tile)
+
+    @pytest.mark.parametrize("per_layer", [False, True], ids=["auto", "per_layer"])
+    @pytest.mark.parametrize("name", list(WORKLOAD_FACTORIES))
+    def test_zoo_stacks(self, name, per_layer):
+        tiles = ZOO_TILES + ([(960, 1), (1, 540)] if name == "fsrcnn" else [])
+        accel = get_accelerator("meta_proto_like_df")
+        for stack in partition_stacks(get_workload(name), accel, per_layer=per_layer):
+            for mode in MODES:
+                for tile in tiles:
+                    assert_classes_match(stack, mode, *tile)
+
+    def test_sweep_warm_axes(self):
+        """The 24 distinct axes of the Fig. 12 grid (fsrcnn on
+        meta_proto_like_df, 6 x 6 tiles x 3 modes)."""
+        wl = get_workload("fsrcnn")
+        axes = set()
+        for stack in partition_stacks(wl, get_accelerator("meta_proto_like_df")):
+            sink = stack.sink
+            for mode in MODES:
+                axes |= {(stack, "x", min(t, sink.ox), mode.caches_x) for t in PAPER_TILE_GRID_X}
+                axes |= {(stack, "y", min(t, sink.oy), mode.caches_y) for t in PAPER_TILE_GRID_Y}
+        assert len(axes) == 24
+        for axis in axes:
+            assert _axis_classes(*axis) == reference_classes(*axis)
+
+    def test_empty_spans_keep_their_bounds(self):
+        """Padding wider than the kernel leaves edge positions an empty
+        input span with ``hi < lo``; the hull passes it on as it is, and
+        the classes keep those bounds."""
+        layers = [conv("A", x=8), conv("B", x=12, fx=1, px=2), conv("C", x=12, fx=1, px=2)]
+        stack = stack_of(layers, [("A", "B"), ("A", "C"), ("B", "C")])
+        spans = [
+            g.required
+            for tile in (1, 3)
+            for cached in (False, True)
+            for col in _axis_sequence(stack, "x", tile_edges(12, tile), cached)[0]
+            for g in col.values()
+        ]
+        assert any(span.hi < span.lo for span in spans)
+        for mode in MODES:
+            for tile in [(1, 1), (3, 5), (12, 24)]:
+                assert_classes_match(stack, mode, *tile)
 
 
 class TestGridWalkEquivalence:
