@@ -357,6 +357,19 @@ class TestIntegerWalk:
             for tile in [(1, 1), (3, 5), (12, 24)]:
                 assert_classes_match(stack, mode, *tile)
 
+    def test_keeps_split_classes(self):
+        """Unpadded convolutions need no clip at the right edge, so the
+        last column differs from the inner ones by the keeps of ``A``'s
+        output alone (a 1 x 1 source fetches no overlap): the cached x
+        axis has three classes (first, inner, last)."""
+        layers = [conv("A", x=26, fx=1, fy=1, px=0, py=0), conv("B", px=0, py=0)]
+        stack = stack_of(layers, [("A", "B")])
+        for mode in MODES:
+            assert_classes_match(stack, mode, 4, 4)
+        xs = _axis_classes(stack, "x", 4, True)
+        assert [(c.position, c.count) for c in xs.classes] == [(0, 1), (1, 4), (5, 1)]
+        assert [g.cache_keep for g in xs.classes[2].layers] == [0, 0]
+
 
 class TestGridWalkEquivalence:
     @pytest.mark.parametrize("tile", FIXTURE_TILES)

@@ -185,6 +185,22 @@ def tight_lb() -> Accelerator:
     )
 
 
+def reg_on_top() -> Accelerator:
+    """A per-PE level above the local buffers: with multi-level skipping
+    off it is the highest on-chip level, so no on-chip level may be a
+    top."""
+    return build_accelerator(
+        "reg_on_top",
+        {"K": 8, "C": 2, "OX": 2, "OY": 2},
+        [
+            level(MemoryInstance.sram("LB_W", 64 * 1024), "W"),
+            level(MemoryInstance.sram("LB_IO", 64 * 1024), "IO"),
+            level(MemoryInstance.register("REG_WIO", 1024), "WIO"),
+            level(MemoryInstance.dram(), "WIO"),
+        ],
+    )
+
+
 def assert_plans_match(found: TileMemoryPlan, expected: TileMemoryPlan) -> None:
     assert found.w_resident_idx == expected.w_resident_idx
     assert [t.tops for t in found.layer_tops] == [t.tops for t in expected.layer_tops]
@@ -247,8 +263,9 @@ class TestLevelTable:
         assert plan_all(monkeypatch, accel, workloads, POLICIES + POLICIES[:1]) > 0
 
     @pytest.mark.parametrize("force_inputs", [False, True])
-    def test_tight_lb(self, monkeypatch, workloads, force_inputs):
-        assert plan_all(monkeypatch, tight_lb(), workloads, POLICIES, force_inputs)
+    @pytest.mark.parametrize("make", [tight_lb, reg_on_top])
+    def test_constructed(self, monkeypatch, workloads, make, force_inputs):
+        assert plan_all(monkeypatch, make(), workloads, POLICIES, force_inputs)
 
     def test_unpickled_accelerator_plans_identically(self, monkeypatch, workloads):
         accel = get_accelerator("meta_proto_like_df")
