@@ -23,6 +23,7 @@ accelerators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, pairwise
 from typing import Iterator
 
 from ..workloads.layer import LayerSpec
@@ -343,9 +344,7 @@ def _axis_rows(
             if carry:
                 f_lo = max(span[0], frontier[i])
                 span = (f_lo, max(span[1], f_lo))
-                frontier[i] = max(span[1], frontier[i])
-            elif cached:
-                frontier[i] = max(span[1], 0)
+            frontier[i] = max(span[1], frontier[i])
             fresh[i] = span
             need[i] = input_span(span[0], span[1], *params)
         fetched = []
@@ -354,9 +353,7 @@ def _axis_rows(
             if carry:
                 g_lo = max(span[0], fetched_to[j])
                 span = (g_lo, max(span[1], g_lo))
-                fetched_to[j] = max(span[1], fetched_to[j])
-            elif cached:
-                fetched_to[j] = max(span[1], 0)
+            fetched_to[j] = max(span[1], fetched_to[j])
             fetched.append(span)
         yield required, fresh, need, fetched
 
@@ -379,12 +376,9 @@ def _axis_classes(stack: Stack, axis: str, tile: int, cached: bool) -> AxisClass
     found: list[list] = []
     tail0 = None
 
-    rows = _axis_rows(stack, axis, tile, cached, sources)
-    following = next(rows)
-    position = -1
-    while following is not None:
-        position += 1
-        row, following = following, next(rows, None)
+    walk = chain(_axis_rows(stack, axis, tile, cached, sources), [None])
+    for position, (row, following) in enumerate(pairwise(walk)):
+        keep_some = cached and following is not None
         required, fresh, need, fetched = row
         keeps = [0] * (n + len(sources))
         signature = []
@@ -392,7 +386,7 @@ def _axis_classes(stack: Stack, axis: str, tile: int, cached: bool) -> AxisClass
             r_lo, r_hi = required[i]
             f_lo, f_hi = fresh[i]
             n_lo, n_hi = need[i]
-            if cached and following is not None:
+            if keep_some:
                 keep = f_hi - max(following[0][i][0], f_lo)
                 keeps[i] = keep if keep > 0 else 0
             signature += (
@@ -405,7 +399,7 @@ def _axis_classes(stack: Stack, axis: str, tile: int, cached: bool) -> AxisClass
         for j, i in enumerate(sources):
             w_lo, w_hi = need[i]
             g_lo, g_hi = fetched[j]
-            if cached and following is not None:
+            if keep_some:
                 keep = g_hi - max(following[2][i][0], g_lo)
                 keeps[n + j] = keep if keep > 0 else 0
             signature += (
