@@ -416,14 +416,23 @@ def _axis_classes(stack: Stack, axis: str, tile: int, cached: bool) -> AxisClass
             if cls == 0 and tail0 is None:
                 tail0 = (position, row, keeps)
 
+    # Equal spans share one Interval, as the object walk's spans did.
+    intervals: dict[tuple[int, int], Interval] = {}
+
+    def interval(span: tuple[int, int]) -> Interval:
+        found = intervals.get(span)
+        if found is None:
+            found = intervals[span] = Interval(*span)
+        return found
+
     def representative(position: int, count: int, row: _Row, keeps: list) -> AxisClass:
         required, fresh, need, fetched = row
         inputs: list[AxisGeometry | None] = [None] * n
         for j, i in enumerate(sources):
             window, got = need[i], fetched[j]
             inputs[i] = AxisGeometry(
-                required=Interval(*window),
-                fresh=Interval(*got),
+                required=interval(window),
+                fresh=interval(got),
                 in_need=EMPTY,
                 cache_used=got[0] - window[0],
                 cache_keep=keeps[n + j],
@@ -433,9 +442,9 @@ def _axis_classes(stack: Stack, axis: str, tile: int, cached: bool) -> AxisClass
             count=count,
             layers=tuple(
                 AxisGeometry(
-                    required=Interval(*required[i]),
-                    fresh=Interval(*fresh[i]),
-                    in_need=Interval(*need[i]),
+                    required=interval(required[i]),
+                    fresh=interval(fresh[i]),
+                    in_need=interval(need[i]),
                     cache_used=fresh[i][0] - required[i][0],
                     cache_keep=keeps[i],
                 )
