@@ -12,9 +12,10 @@ Everything is axis-separable (see :mod:`repro.core.geometry`): tiles are
 rectangles, layer transforms act per axis and the branch rule (Fig. 8) is
 a per-axis hull.  We therefore walk each axis once, in plain integers,
 and group identical columns (rows) into *axis classes*; only each
-class's representative becomes geometry objects.  Tiles with identical (column class, row class) pairs
-are identical, so the tile types (Fig. 6) are the products of the two
-axes' classes, built without visiting the tiles themselves.  An
+class's representative becomes geometry objects.  Tiles with identical
+(column class, row class) pairs are identical, so the tile types
+(Fig. 6) are the products of the two axes' classes, built without
+visiting the tiles themselves.  An
 :class:`AxisMemo` keeps each axis's classes by content, because the
 same stack, axis and tile size recur across strategies and
 accelerators.

@@ -72,7 +72,9 @@ class _Levels:
     candidates: tuple[tuple[int, int, int, bool], ...]
 
 
-def _operand_levels(accel: Accelerator, operand: str, multi_level_skip: bool) -> _Levels:
+def _operand_levels(
+    accel: Accelerator, operand: str, multi_level_skip: bool
+) -> _Levels:
     hierarchy = accel.hierarchy(operand)
     instances = [level.instance for level in hierarchy]
     indices = list(range(len(hierarchy)))

@@ -333,8 +333,10 @@ class TestIntegerWalk:
         for stack in partition_stacks(wl, get_accelerator("meta_proto_like_df")):
             sink = stack.sink
             for mode in MODES:
-                axes |= {(stack, "x", min(t, sink.ox), mode.caches_x) for t in PAPER_TILE_GRID_X}
-                axes |= {(stack, "y", min(t, sink.oy), mode.caches_y) for t in PAPER_TILE_GRID_Y}
+                for t in PAPER_TILE_GRID_X:
+                    axes.add((stack, "x", min(t, sink.ox), mode.caches_x))
+                for t in PAPER_TILE_GRID_Y:
+                    axes.add((stack, "y", min(t, sink.oy), mode.caches_y))
         assert len(axes) == 24
         for axis in axes:
             assert _axis_classes(*axis) == reference_classes(*axis)
@@ -343,7 +345,11 @@ class TestIntegerWalk:
         """Padding wider than the kernel leaves edge positions an empty
         input span with ``hi < lo``; the hull passes it on as it is, and
         the classes keep those bounds."""
-        layers = [conv("A", x=8), conv("B", x=12, fx=1, px=2), conv("C", x=12, fx=1, px=2)]
+        layers = [
+            conv("A", x=8),
+            conv("B", x=12, fx=1, px=2),
+            conv("C", x=12, fx=1, px=2),
+        ]
         stack = stack_of(layers, [("A", "B"), ("A", "C"), ("B", "C")])
         spans = [
             g.required

@@ -164,7 +164,7 @@ def reference_plan(
 # ----------------------------------------------------------------------
 # The engine's plan phase, each plan checked against the reference
 # ----------------------------------------------------------------------
-POLICIES = [MemLevelPolicy(multi_level_skip=True), MemLevelPolicy(multi_level_skip=False)]
+POLICIES = [MemLevelPolicy(multi_level_skip=skip) for skip in (True, False)]
 MODES = list(OverlapMode)
 TILES = [(16, 18), (60, 72)]
 ACCELERATORS = ["meta_proto_like_df", "tpu_like", "tesla_npu_like", "edge_tpu_like"]
