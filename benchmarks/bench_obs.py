@@ -7,9 +7,12 @@ One small DSE runs twice through the real CLI — once bare, once with
   the traced window,
 * report non-zero LOMA-orderings and mapping-cache counters,
 * write a **bit-identical frontier** to the telemetry-off run (the
-  identity-neutral contract), and
+  identity-neutral contract),
 * stay within 10% (+ a small absolute slack for CI jitter) of the bare
-  run's wall-clock — the zero-ish-overhead contract.
+  run's wall-clock — the zero-ish-overhead contract, and
+* read back through ``repro runs show``, the one reader of a run's
+  telemetry: its ledger record renders the root-span coverage line and
+  the mapping-cache hit-rate line.
 
 Run directly (``python -m pytest benchmarks/bench_obs.py -q``) or let
 CI's ``obs-smoke`` job do it on every push.
@@ -106,6 +109,16 @@ def test_obs_smoke(tmp_path, capsys):
         f"telemetry overhead too high: traced {traced_seconds:.2f}s vs "
         f"bare {bare_seconds:.2f}s (ceiling {ceiling:.2f}s)"
     )
+
+    # 5. The traced run's ledger record (the latest) reads back through
+    # `repro runs show`: its trace's coverage and its dump's hit rate.
+    assert main(["runs", "show"]) == 0
+    shown = capsys.readouterr().out
+    assert f"trace {trace}:" in shown
+    assert f"root spans cover {100.0 * coverage:.1f}%" in shown
+    hits = int(values['mapping_cache_gets_total{result="hit"}'])
+    assert f"mapping cache: {hits} hit(s) / " in shown
+    assert "% hit rate)" in shown
 
     write_output(
         "bench_obs.txt",

@@ -1,5 +1,5 @@
 """Paper-style text reports: Table I, Table II, Fig. 9 top-level maps —
-plus the telemetry run-summary renderers behind ``repro stats``."""
+plus the run-ledger and telemetry renderers behind ``repro runs``."""
 
 from __future__ import annotations
 
@@ -95,7 +95,7 @@ TABLE2_ROWS = (
 
 
 # ----------------------------------------------------------------------
-# Telemetry run summaries (repro stats / --trace / --metrics)
+# Telemetry run summaries (--trace / --metrics, read by repro runs show)
 # ----------------------------------------------------------------------
 def _format_seconds(value: float) -> str:
     if value >= 1.0:
@@ -234,7 +234,7 @@ def metrics_report(values: "Mapping[str, float]", top: int = 12) -> str:
 
 
 # ----------------------------------------------------------------------
-# Run-ledger reports (repro runs list|show|diff|regress)
+# Run-ledger reports (repro runs list|show|diff)
 # ----------------------------------------------------------------------
 #: Render order + formatting of the comparable per-run scalars.
 _KEY_METRIC_FORMATS = (
@@ -298,8 +298,10 @@ def runs_table(records: Sequence[Mapping], limit: int = 20) -> str:
 
 
 def run_report(record: Mapping, tail: int = 5) -> str:
-    """Render ``repro runs show``: manifest, outcome, key metrics, and
-    the tail of the convergence series."""
+    """Render the record part of ``repro runs show``: manifest, outcome,
+    key metrics, and the tail of the convergence series (the CLI appends
+    the run's telemetry through :func:`metrics_report` and
+    :func:`trace_report`)."""
     lines = [f"run {record.get('id', '?')} [{record.get('status', '?')}]"]
     argv = record.get("argv")
     if argv:
@@ -395,36 +397,6 @@ def run_diff_report(baseline: Mapping, current: Mapping) -> str:
             f"{label:18s} {_fmt_key_metric(fmt, b):>14s} "
             f"{_fmt_key_metric(fmt, c):>14s} {delta:>9s}"
         )
-    return "\n".join(lines)
-
-
-def regress_report(checks: Sequence) -> str:
-    """Render ``repro runs regress``: one verdict line per check and a
-    PASS/FAIL summary (the exit code mirrors it)."""
-    lines = [
-        f"{'check':40s} {'baseline':>12s} {'current':>12s} "
-        f"{'limit':>24s} {'verdict':>10s}"
-    ]
-    for check in checks:
-        def fmt(value):
-            if value is None:
-                return "-"
-            return f"{value:.6g}"
-
-        verdict = check.status.upper()
-        line = (
-            f"{check.metric[:40]:40s} {fmt(check.baseline):>12s} "
-            f"{fmt(check.current):>12s} {check.limit:>24s} {verdict:>10s}"
-        )
-        if check.note:
-            line += f"  ({check.note})"
-        lines.append(line)
-    regressed = [c for c in checks if c.status == "regressed"]
-    if regressed:
-        names = ", ".join(c.metric for c in regressed)
-        lines.append(f"FAIL: {len(regressed)} regression(s): {names}")
-    else:
-        lines.append(f"PASS: no regressions in {len(checks)} check(s)")
     return "\n".join(lines)
 
 

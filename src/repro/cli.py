@@ -38,14 +38,6 @@ evaluation above):
 ``repro cache-info``
     Inspect a persistent mapping-cache file (format version, entries,
     size, last session's hit/miss stats).
-``repro stats``
-    Inspect telemetry artifacts: every evaluating subcommand accepts
-    ``--trace OUT.jsonl`` (structured span trace) and ``--metrics
-    OUT.prom`` (counters/gauges/histograms, Prometheus text or JSON);
-    ``repro stats FILE`` renders top spans by self time, wall-clock
-    coverage, cache hit rates and per-shard service utilization.
-    Telemetry is identity-neutral: results are bit-identical with it
-    on or off.
 ``repro serve``
     Run a standalone live cache server: every run pointed at it with
     ``--cache-server HOST:PORT`` (classic sweeps and ``dse`` alike)
@@ -58,10 +50,15 @@ evaluation above):
     The durable run ledger: every ``evaluate``/``dse`` invocation
     appends a JSON record under ``.repro/runs/`` (manifest, versions,
     convergence series, final metrics, outcome — crashed runs
-    included).  ``runs list|show|diff|gc`` browse it; ``runs regress
-    --baseline REF`` compares the latest run (and optionally a
-    ``BENCH_loma.json``) against a baseline with per-metric thresholds
-    and exits nonzero on regression — the CI perf gate.
+    included).  ``runs list|show|diff|gc`` browse it.  ``runs show``
+    is also the one reader of a run's telemetry: every evaluating
+    subcommand accepts ``--trace OUT.jsonl`` (structured span trace)
+    and ``--metrics OUT.prom`` (counters/gauges/histograms, Prometheus
+    text or JSON), and ``runs show`` renders the record's embedded
+    metrics dump (cache hit rates, per-shard service utilization, top
+    counters) and the trace file its manifest names (top spans by self
+    time, wall-clock coverage).  Telemetry is identity-neutral: results
+    are bit-identical with it on or off.
 ``repro check``
     Static invariant checker: determinism (DET0xx), guarded-by
     concurrency (RACE0xx), cache-token purity (CACHE0xx) and doc-drift
@@ -88,8 +85,8 @@ import json
 import math
 import os
 import sys
+import textwrap
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import obs
@@ -100,7 +97,6 @@ from .analysis import (
     frontier_table,
     infeasible_table,
     metrics_report,
-    regress_report,
     run_diff_report,
     run_report,
     runs_table,
@@ -125,7 +121,7 @@ from .explore import Executor, MappingCache, SweepSpec
 from .hardware.zoo import ACCELERATOR_FACTORIES, get_accelerator
 from .mapping import ENGINES, OBJECTIVE_NAMES, SearchConfig, validate_objectives
 from .mapping.cache import cache_file_info
-from .obs import ledger, parse_prometheus, regress
+from .obs import ledger, parse_prometheus
 from .serve import AUTH_TOKEN_ENV, CacheClient, CacheServer, CacheServerError
 from .workloads.zoo import WORKLOAD_FACTORIES, get_workload
 
@@ -322,19 +318,6 @@ def _partition_list(text: str) -> "tuple[tuple[int, ...] | None, ...]":
     return tuple(candidates)
 
 
-def _loss_fraction(text: str) -> float:
-    """A regression tolerance: 0 <= value < 1 (0 = no loss allowed)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (0.0 <= value < 1.0):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be in [0, 1), got {text!r}"
-        )
-    return value
-
-
 def _sample_fraction(text: str) -> float:
     try:
         value = float(text)
@@ -404,7 +387,7 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="OUT.jsonl",
         help="write a structured JSON-lines trace of the run (spans "
-        "with monotonic timestamps; inspect with 'repro stats'); "
+        "with monotonic timestamps; inspect with 'repro runs show'); "
         "results are bit-identical with tracing on or off",
     )
     parser.add_argument(
@@ -1262,100 +1245,6 @@ def run_cache_info(argv: Sequence[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# repro stats — telemetry artifact inspection
-# ----------------------------------------------------------------------
-def build_stats_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro stats",
-        description="Inspect telemetry artifacts written by --trace and "
-        "--metrics: JSON-lines traces (top spans by self time, wall-"
-        "clock coverage) and Prometheus text / metrics JSON snapshots "
-        "(cache hit rates, per-shard utilization, top counters).",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="+",
-        metavar="FILE",
-        help="trace (.jsonl), Prometheus text (.prom) or metrics JSON file",
-    )
-    parser.add_argument(
-        "--top",
-        type=_positive_int,
-        default=10,
-        help="rows shown per table (default: 10)",
-    )
-    return parser
-
-
-def _stats_report(path: str, top: int) -> str:
-    """The report for one telemetry file, whatever its format: a metrics
-    JSON dump (one object), a JSON-lines trace, or Prometheus text.
-
-    Robust against the artifacts a crashed run leaves behind: a missing
-    or empty file and a trace cut mid-line all produce a clear message
-    (plus a best-effort report for the partial trace), never a
-    traceback."""
-    from .obs import MetricsRegistry, load_trace_tolerant
-
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SystemExit(str(exc))
-    if not text.strip():
-        raise SystemExit(
-            f"{path}: empty telemetry file — the run likely crashed (or "
-            "was killed) before writing anything"
-        )
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = None
-    if isinstance(data, dict) and "metrics" in data:
-        registry = MetricsRegistry()
-        try:
-            registry.merge_json(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SystemExit(f"{path}: not a metrics dump: {exc}")
-        return metrics_report(
-            parse_prometheus(registry.render_prometheus()), top=top
-        )
-    records, problems = load_trace_tolerant(path)
-    if records:
-        report = trace_report(records, top=top)
-        if problems:
-            report += (
-                f"\nwarning: skipped {len(problems)} malformed line(s) — "
-                f"truncated by a crashed run? (first: {problems[0]})"
-            )
-        return report
-    values = parse_prometheus(text)
-    if values:
-        return metrics_report(values, top=top)
-    raise SystemExit(
-        f"{path}: not a recognizable telemetry file (expected a "
-        "JSON-lines trace, a Prometheus text exposition, or a metrics "
-        "JSON dump)"
-        + (
-            f"; {len(problems)} unparseable line(s) suggest a truncated "
-            "or corrupted trace"
-            if problems
-            else ""
-        )
-    )
-
-
-def run_stats(argv: Sequence[str]) -> int:
-    args = build_stats_parser().parse_args(argv)
-    for index, path in enumerate(args.paths):
-        if len(args.paths) > 1:
-            if index:
-                print()
-            print(f"== {path} ==")
-        print(_stats_report(path, args.top))
-    return 0
-
-
-# ----------------------------------------------------------------------
 # repro runs — the durable run ledger
 # ----------------------------------------------------------------------
 def _add_runs_dir_option(parser: argparse.ArgumentParser) -> None:
@@ -1435,65 +1324,6 @@ def build_runs_parser() -> argparse.ArgumentParser:
     )
     p_gc.set_defaults(func=_runs_gc)
 
-    p_regress = sub.add_parser(
-        "regress",
-        help="gate a run against a baseline: exits 1 on any regression",
-    )
-    _add_runs_dir_option(p_regress)
-    p_regress.add_argument(
-        "--baseline",
-        required=True,
-        metavar="REF",
-        help="baseline run reference (id, unique prefix, or record-file "
-        "path — e.g. a committed fixture)",
-    )
-    p_regress.add_argument(
-        "run",
-        nargs="?",
-        default="latest",
-        help="run to gate (default: latest)",
-    )
-    p_regress.add_argument(
-        "--max-slowdown",
-        type=_loss_fraction,
-        default=regress.DEFAULT_MAX_SLOWDOWN,
-        metavar="FRACTION",
-        help="tolerated relative throughput loss (orderings/s, bench "
-        f"points; default {regress.DEFAULT_MAX_SLOWDOWN} — generous, "
-        "baselines travel across machines)",
-    )
-    p_regress.add_argument(
-        "--max-hv-loss",
-        type=_loss_fraction,
-        default=regress.DEFAULT_MAX_HV_LOSS,
-        metavar="FRACTION",
-        help="tolerated relative hypervolume loss at a fixed eval "
-        f"budget (default {regress.DEFAULT_MAX_HV_LOSS} — the search "
-        "is deterministic per seed)",
-    )
-    p_regress.add_argument(
-        "--max-hit-rate-drop",
-        type=_loss_fraction,
-        default=regress.DEFAULT_MAX_HIT_RATE_DROP,
-        metavar="FRACTION",
-        help="tolerated absolute mapping-cache hit-rate drop "
-        f"(default {regress.DEFAULT_MAX_HIT_RATE_DROP})",
-    )
-    p_regress.add_argument(
-        "--bench",
-        default=None,
-        metavar="BENCH.json",
-        help="also gate a BENCH_loma.json-shaped throughput file "
-        "against --bench-baseline",
-    )
-    p_regress.add_argument(
-        "--bench-baseline",
-        default="BENCH_loma.json",
-        metavar="BENCH.json",
-        help="baseline bench file for --bench (default: the repo's "
-        "blessed BENCH_loma.json)",
-    )
-    p_regress.set_defaults(func=_runs_regress)
     return parser
 
 
@@ -1510,8 +1340,43 @@ def _load_run_or_exit(ref: str, runs_dir) -> dict:
 
 
 def _runs_show(args) -> int:
-    print(run_report(_load_run_or_exit(args.run, args.runs_dir), tail=args.tail))
+    record = _load_run_or_exit(args.run, args.runs_dir)
+    print(run_report(record, tail=args.tail))
+    for line in _telemetry_sections(record):
+        print(line)
     return 0
+
+
+def _telemetry_sections(record: dict) -> Iterator[str]:
+    """The telemetry a run left: its record's embedded metrics dump and
+    the trace file its manifest names (path as recorded).  A dump that
+    will not merge, or a missing or unreadable trace file, is one line
+    naming it; a trace cut short by a crashed run renders best effort."""
+    dump = record.get("metrics")
+    if dump:
+        registry = obs.MetricsRegistry()
+        try:
+            registry.merge_json(dump)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            yield f"metrics dump: does not merge ({type(exc).__name__}: {exc})"
+        else:
+            values = parse_prometheus(registry.render_prometheus())
+            yield "metrics dump:"
+            yield textwrap.indent(metrics_report(values), "  ")
+    trace = (record.get("manifest") or {}).get("trace")
+    if trace:
+        try:
+            records, problems = obs.load_trace_tolerant(trace)
+        except (OSError, TypeError, ValueError) as exc:
+            yield f"trace {trace}: unreadable ({exc})"
+            return
+        yield f"trace {trace}:"
+        yield textwrap.indent(trace_report(records), "  ")
+        if problems:
+            yield (
+                f"  warning: skipped {len(problems)} malformed line(s) — "
+                f"truncated by a crashed run? (first: {problems[0]})"
+            )
 
 
 def _runs_diff(args) -> int:
@@ -1537,29 +1402,6 @@ def _runs_gc(args) -> int:
     return 0
 
 
-def _runs_regress(args) -> int:
-    baseline = _load_run_or_exit(args.baseline, args.runs_dir)
-    current = _load_run_or_exit(args.run, args.runs_dir)
-    checks = regress.compare_runs(
-        baseline,
-        current,
-        max_slowdown=args.max_slowdown,
-        max_hv_loss=args.max_hv_loss,
-        max_hit_rate_drop=args.max_hit_rate_drop,
-    )
-    if args.bench is not None:
-        try:
-            checks += regress.compare_bench(
-                regress.load_bench(args.bench_baseline),
-                regress.load_bench(args.bench),
-                max_slowdown=args.max_slowdown,
-            )
-        except (OSError, ValueError) as exc:
-            raise SystemExit(str(exc))
-    print(regress_report(checks))
-    return 1 if regress.has_regressions(checks) else 0
-
-
 def run_runs(argv: Sequence[str]) -> int:
     args = build_runs_parser().parse_args(argv)
     return args.func(args)
@@ -1570,7 +1412,6 @@ SUBCOMMANDS = {
     "dse": run_dse,
     "serve": run_serve,
     "cache-info": run_cache_info,
-    "stats": run_stats,
     "runs": run_runs,
     "check": run_check,
 }

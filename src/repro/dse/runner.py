@@ -531,28 +531,6 @@ class DSERunner:
         if generation.epsilon is not None:
             registry.gauge("dse_epsilon").set(generation.epsilon)
 
-    def _telemetry_summary(self) -> dict:
-        """Small run-health snapshot stamped into the checkpoint (only
-        while telemetry is on, so disabled-mode checkpoints stay
-        byte-compatible with earlier formats)."""
-        registry = obs.metrics()
-
-        def total(name: str) -> float:
-            return float(
-                sum(
-                    metric.value
-                    for metric in registry
-                    if metric.name == name and metric.kind == "counter"
-                )
-            )
-
-        return {
-            "generations": total("dse_generations_total"),
-            "orderings_evaluated": total("loma_orderings_evaluated_total"),
-            "cache_gets": total("mapping_cache_gets_total"),
-            "executor_jobs": total("executor_jobs_total"),
-        }
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
@@ -647,11 +625,6 @@ class DSERunner:
                 for point, values, violation in seen.values()
             ],
         }
-        if obs.enabled:
-            # Run-health snapshot, outside the stamp fields so resume
-            # validation never looks at it and telemetry-off runs write
-            # byte-identical checkpoints to earlier versions.
-            payload["telemetry"] = self._telemetry_summary()
         self.checkpoint.parent.mkdir(parents=True, exist_ok=True)
         # Atomic replace: an interrupt mid-write must never tear the
         # checkpoint the next run resumes from.

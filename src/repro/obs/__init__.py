@@ -10,6 +10,9 @@ One dependency-free observability surface for every subsystem:
   emitting structured JSON-lines trace events (monotonic start/end,
   nesting via ids) to a per-run trace file, with a deterministic
   sampling knob.
+* :mod:`repro.obs.ledger` — the durable record every CLI run leaves;
+  it embeds the final metrics dump and names the trace file, and
+  ``repro runs show`` renders both.
 
 The whole layer hangs off **one module-level flag**: :data:`enabled`.
 Instrumented hot paths guard with ``if obs.enabled:`` — one module
@@ -36,7 +39,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from . import ledger, regress
+from . import ledger
 from .metrics import (
     DEFAULT_BUCKETS,
     BucketMismatchError,
@@ -81,7 +84,6 @@ __all__ = [
     "load_trace_tolerant",
     "metrics",
     "parse_prometheus",
-    "regress",
     "span",
     "span_summary",
     "split_series",

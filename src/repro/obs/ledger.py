@@ -6,7 +6,8 @@ process.  The ledger is the cross-run layer: ``repro evaluate`` and
 accelerator fingerprints, package versions), wall-clock, the final
 :class:`~repro.obs.metrics.MetricsRegistry` dump (when telemetry was
 on), the per-generation convergence series, and the outcome status —
-that ``repro runs list|show|diff|gc|regress`` read back.
+that ``repro runs list|show|diff|gc`` read back (``runs show`` also
+renders the embedded dump and the trace file the manifest names).
 
 Crash capture is the load-bearing design point: the record is written
 *at begin* with ``status: "running"`` and atomically rewritten at
@@ -216,10 +217,16 @@ def list_runs(directory: str | Path | None = None) -> list[dict[str, Any]]:
 
 def load_run(ref: str, directory: str | Path | None = None) -> dict[str, Any]:
     """Resolve a run reference: ``latest``, an exact id, a unique id
-    prefix, or a path to a record file."""
+    prefix, or a path to a record file.  A file that is not JSON, or
+    whose JSON is not an object, raises :class:`ValueError` naming it."""
     as_path = Path(ref)
     if as_path.is_file():
-        record: dict[str, Any] = json.loads(as_path.read_text())
+        record = json.loads(as_path.read_text())
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"{as_path}: not a run record (expected a JSON object, "
+                f"got {type(record).__name__})"
+            )
         record["_path"] = str(as_path)
         return record
     records = [r for r in list_runs(directory) if r.get("status") != "unreadable"]
@@ -264,19 +271,23 @@ def gc_runs(
 
 
 # ----------------------------------------------------------------------
-# Derived metrics (shared by `runs show|diff` and the regression gate)
+# Derived metrics (shared by `runs list|show|diff`)
 # ----------------------------------------------------------------------
 def metric_total(
     record: Mapping[str, Any], name: str, **match: str
 ) -> float | None:
     """Sum a counter/gauge family from a record's metrics dump across
     series whose labels include ``match``; ``None`` when absent."""
-    dump = record.get("metrics") or {}
+    dump = record.get("metrics")
+    entries = dump.get("metrics") if isinstance(dump, dict) else None
     total: float | None = None
-    for raw in dump.get("metrics", []):
-        if raw.get("name") != name:
+    for raw in entries if isinstance(entries, list) else ():
+        if not isinstance(raw, dict) or raw.get("name") != name:
             continue
-        labels = {k: v for k, v in raw.get("labels", [])}
+        try:
+            labels = dict(raw.get("labels", []))
+        except (TypeError, ValueError):
+            continue  # a corrupted dump: `runs show` names it
         if any(labels.get(k) != v for k, v in match.items()):
             continue
         data = raw.get("data")

@@ -401,9 +401,10 @@ def load_metrics(path: str | Path) -> MetricsRegistry:
 
 def parse_prometheus(text: str) -> dict[str, float]:
     """Parse a Prometheus text exposition into ``{series: value}`` (the
-    series string includes its label set verbatim).  Only what the
-    ``repro stats`` pretty-printer and the smoke tests need — not a
-    general scrape parser.
+    series string includes its label set verbatim).  Only what ``repro
+    runs show`` (which renders a record's metrics dump through it) and
+    the tests, where it is the renderer's oracle, need — not a general
+    scrape parser.
 
     Round-trips :meth:`MetricsRegistry.render_prometheus` exactly:
     escaped label values contain no raw newline or trailing space, so

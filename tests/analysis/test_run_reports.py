@@ -1,15 +1,8 @@
-"""Rendering for the run-ledger reports (`repro runs list|show|diff`
-and the regression verdict table)."""
+"""Rendering for the run-ledger reports (`repro runs list|show|diff`)."""
 
 from __future__ import annotations
 
-from repro.analysis.report import (
-    regress_report,
-    run_diff_report,
-    run_report,
-    runs_table,
-)
-from repro.obs.regress import OK, REGRESSED, SKIPPED, Check
+from repro.analysis.report import run_diff_report, run_report, runs_table
 
 
 def record(run_id="r1", status="ok", **extra):
@@ -105,22 +98,3 @@ class TestRunDiffReport:
         assert "delta" in text
         lines = [l for l in text.splitlines() if l.startswith("hypervolume")]
         assert lines and lines[0].rstrip().endswith("-")
-
-
-class TestRegressReport:
-    def test_pass_and_fail_summaries(self):
-        ok = Check("orderings_per_s", 100.0, 99.0, ">= x", OK)
-        skip = Check("hypervolume", None, None, ">= y", SKIPPED,
-                     "budgets differ (50 vs 80)")
-        assert "PASS: no regressions in 2 check(s)" in regress_report(
-            [ok, skip]
-        )
-        bad = Check("cache_hit_rate", 0.9, 0.1, ">= z", REGRESSED)
-        text = regress_report([ok, bad])
-        assert "FAIL: 1 regression(s): cache_hit_rate" in text
-        assert "REGRESSED" in text
-
-    def test_notes_rendered(self):
-        skip = Check("hypervolume", None, None, ">= y", SKIPPED,
-                     "baseline run has no hypervolume")
-        assert "(baseline run has no hypervolume)" in regress_report([skip])

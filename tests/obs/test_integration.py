@@ -1,5 +1,6 @@
 """Telemetry wired through the stack: fork-merged worker registries,
-tracing-on bit-identity, checkpoint stamps, and the CLI surface."""
+tracing-on bit-identity, telemetry-neutral checkpoints, and the CLI
+surface."""
 
 from __future__ import annotations
 
@@ -102,22 +103,22 @@ class TestIdentity:
 
 
 class TestCheckpointTelemetry:
-    def test_stamp_present_only_when_enabled(self, tmp_path):
+    def test_checkpoint_bytes_identical_with_telemetry_on_and_off(
+        self, tmp_path
+    ):
+        """Telemetry leaves no trace in the checkpoint: the run's ledger
+        record holds its metrics dump."""
         off = tmp_path / "off.json"
         run_dse(checkpoint=off)
-        assert "telemetry" not in json.loads(off.read_text())
 
         obs.enable()
         on = tmp_path / "on.json"
         run_dse(checkpoint=on)
         obs.disable()
-        stamp = json.loads(on.read_text())["telemetry"]
-        assert stamp["generations"] == 1
-        assert stamp["orderings_evaluated"] > 0
+        assert on.read_bytes() == off.read_bytes()
 
     def test_resume_across_telemetry_modes(self, tmp_path):
-        """The telemetry key lives outside the stamp fields: a
-        telemetry-on checkpoint resumes cleanly with telemetry off."""
+        """A telemetry-on checkpoint resumes cleanly with telemetry off."""
         checkpoint = tmp_path / "ck.json"
         obs.enable()
         first = run_dse(checkpoint=checkpoint)
@@ -173,30 +174,25 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(self.DSE_ARGS + ["--trace", "t.jsonl", "--trace-sample", "0"])
 
-    def test_stats_subcommand_renders_all_formats(self, tmp_path, capsys):
+    def test_runs_show_renders_run_telemetry(self, tmp_path, capsys):
+        """A telemetry-on DSE record renders its metrics dump and its
+        trace through `repro runs show`."""
+        runs = tmp_path / "runs"
         trace = tmp_path / "run.jsonl"
         prom = tmp_path / "run.prom"
-        dump = tmp_path / "run.json"
         main(
             self.DSE_ARGS
-            + ["--trace", str(trace), "--metrics", str(prom)]
+            + ["--trace", str(trace), "--metrics", str(prom),
+               "--runs-dir", str(runs)]
         )
-        main(self.DSE_ARGS + ["--metrics", str(dump)])
         capsys.readouterr()
 
-        assert main(["stats", str(trace), str(prom), str(dump)]) == 0
+        assert main(["runs", "show", "--runs-dir", str(runs)]) == 0
         out = capsys.readouterr().out
-        assert "root spans cover" in out
         assert "mapping cache:" in out
         assert "hit rate" in out
+        assert "root spans cover" in out
         assert "dse.run" in out
-        assert f"== {trace} ==" in out  # multi-file headers
-
-    def test_stats_rejects_junk(self, tmp_path, capsys):
-        junk = tmp_path / "junk.bin"
-        junk.write_text("!!! not telemetry !!!\n")
-        with pytest.raises(SystemExit, match="not a recognizable"):
-            main(["stats", str(junk)])
 
     def test_classic_evaluate_traces_too(self, tmp_path, capsys):
         trace = tmp_path / "eval.jsonl"

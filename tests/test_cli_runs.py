@@ -1,5 +1,5 @@
-"""CLI tests for the run ledger family (`repro runs ...`) and the
-crash-robust `repro stats`."""
+"""CLI tests for the run ledger family (`repro runs ...`), including
+`runs show` as the one, crash-robust reader of a run's telemetry."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import json
 import pytest
 
 from repro import obs
-from repro.cli import _loss_fraction, main
+from repro.analysis import run_report
+from repro.cli import main
 from repro.explore import Executor
 from repro.obs import ledger
 
@@ -280,109 +281,113 @@ class TestRunsCLI:
         assert "base" in out and "curr" in out
         assert "+50.0%" in out  # orderings 200 -> 300
 
-    def test_regress_passes_against_identical_baseline(self, tmp_path, capsys):
-        runs = tmp_path / "runs"
-        write_record(runs, "base", 1000.0)
-        write_record(runs, "curr", 2000.0)
-        assert main(["runs", "regress", "--baseline", "base",
-                     "--runs-dir", str(runs)]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-
-    def test_regress_fails_on_injected_throughput_regression(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["runs", "show"], [1, 2]),
+            (["runs", "diff", "base"], "x"),
+        ],
+        ids=["show-list", "diff-string"],
+    )
+    def test_non_object_record_file_exits_with_its_name(
+        self, tmp_path, argv, content
     ):
-        runs = tmp_path / "runs"
-        write_record(runs, "base", 1000.0, orderings=200.0)
-        # Same wall-clock, 100x fewer orderings: a 99% throughput drop.
-        write_record(runs, "curr", 2000.0, orderings=2.0)
-        assert main(["runs", "regress", "--baseline", "base",
-                     "--runs-dir", str(runs)]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "orderings_per_s" in out
-
-    def test_regress_hv_skip_on_budget_mismatch(self, tmp_path, capsys):
-        runs = tmp_path / "runs"
-        write_record(runs, "base", 1000.0, hv=0.9, evals=50)
-        write_record(runs, "curr", 2000.0, hv=0.2, evals=99)
-        assert main(["runs", "regress", "--baseline", "base",
-                     "--runs-dir", str(runs)]) == 0
-        assert "SKIPPED" in capsys.readouterr().out
-
-    def test_regress_threshold_flags(self, tmp_path, capsys):
-        runs = tmp_path / "runs"
-        write_record(runs, "base", 1000.0, orderings=200.0)
-        write_record(runs, "curr", 2000.0, orderings=180.0)  # -10%
-        assert main(["runs", "regress", "--baseline", "base",
-                     "--max-slowdown", "0.05",
-                     "--runs-dir", str(runs)]) == 1
-        capsys.readouterr()
-
-    def test_regress_bench_files(self, tmp_path, capsys):
+        """A record file whose JSON is not an object is a named error,
+        not a TypeError from indexing it."""
         runs = tmp_path / "runs"
         write_record(runs, "base", 1000.0)
-        write_record(runs, "curr", 2000.0)
-        point = {
-            "workload": "fsrcnn",
-            "accelerator": "meta_proto_like_df",
-            "batch": {"orderings_per_s": 100.0},
-            "speedup": 8.0,
-        }
-        baseline = tmp_path / "bench_base.json"
-        baseline.write_text(json.dumps({"points": [point]}))
-        slow = dict(point, batch={"orderings_per_s": 5.0})
-        current = tmp_path / "bench_curr.json"
-        current.write_text(json.dumps({"points": [slow]}))
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps(content))
+        with pytest.raises(SystemExit, match="bogus.json: not a run record"):
+            main(argv + [str(bogus), "--runs-dir", str(runs)])
 
-        assert main(["runs", "regress", "--baseline", "base",
-                     "--runs-dir", str(runs),
-                     "--bench", str(baseline),
-                     "--bench-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main(["runs", "regress", "--baseline", "base",
-                     "--runs-dir", str(runs),
-                     "--bench", str(current),
-                     "--bench-baseline", str(baseline)]) == 1
-        assert "batch_orderings_per_s" in capsys.readouterr().out
-
-    def test_loss_fraction_validator(self):
-        assert _loss_fraction("0") == 0.0
-        assert _loss_fraction("0.25") == 0.25
-        for bad in ("1", "1.5", "-0.1", "nan", "junk"):
-            with pytest.raises(Exception):
-                _loss_fraction(bad)
+    @pytest.mark.parametrize(
+        "argv",
+        [["stats", "run.jsonl"], ["runs", "regress", "--baseline", "base"]],
+        ids=["stats", "runs-regress"],
+    )
+    def test_removed_commands_are_usage_errors(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--runs-dir", str(tmp_path / "runs")])
+        assert info.value.code == 2
+        assert ledger.list_runs(tmp_path / "runs") == []
 
 
-class TestStatsRobustness:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(SystemExit, match="No such file"):
-            main(["stats", str(tmp_path / "nope.jsonl")])
+class TestShowTelemetry:
+    """`runs show` renders the telemetry a run left: the record's
+    embedded metrics dump and the trace file its manifest names."""
 
-    def test_empty_file(self, tmp_path):
-        empty = tmp_path / "trace.jsonl"
-        empty.write_text("")
-        with pytest.raises(SystemExit, match="empty telemetry file"):
-            main(["stats", str(empty)])
-        blank = tmp_path / "blank.jsonl"
-        blank.write_text("  \n\n")
-        with pytest.raises(SystemExit, match="empty telemetry file"):
-            main(["stats", str(blank)])
-
-    def test_truncated_trace_reports_best_effort(self, tmp_path, capsys):
+    def traced_run(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
         trace = tmp_path / "trace.jsonl"
-        assert main(EVAL_ARGS + ["--trace", str(trace), "--no-ledger"]) == 0
+        assert main(EVAL_ARGS + ["--runs-dir", str(runs),
+                                 "--trace", str(trace)]) == 0
         capsys.readouterr()
+        (record,) = ledger.list_runs(runs)
+        return runs, trace, record
+
+    def show(self, runs, capsys):
+        assert main(["runs", "show", "--runs-dir", str(runs)]) == 0
+        return capsys.readouterr().out
+
+    def test_record_and_both_telemetry_sections(self, tmp_path, capsys):
+        runs, trace, record = self.traced_run(tmp_path, capsys)
+        out = self.show(runs, capsys)
+        assert out.startswith(run_report(record) + "\n")
+        assert "\nmetrics dump:\n  mapping cache: " in out
+        assert "hit rate" in out
+        assert f"\ntrace {trace}:\n" in out
+        assert "repro.evaluate" in out
+        assert "root spans cover" in out
+        assert "warning" not in out
+
+    def test_cut_trace_prints_best_effort(self, tmp_path, capsys):
+        runs, trace, _ = self.traced_run(tmp_path, capsys)
         # Cut the final line mid-record, as a crash would.
         text = trace.read_text().rstrip("\n")
         trace.write_text(text[: len(text) - 20] + "\n")
-        assert main(["stats", str(trace)]) == 0
-        out = capsys.readouterr().out
+        out = self.show(runs, capsys)
+        assert "root spans cover" in out
         assert "warning: skipped 1 malformed line(s)" in out
         assert "truncated by a crashed run?" in out
 
-    def test_garbage_file_mentions_unparseable_lines(self, tmp_path):
-        garbage = tmp_path / "junk.txt"
-        garbage.write_text('{"half": \n{"also half": \n')
-        with pytest.raises(SystemExit, match="unparseable line"):
-            main(["stats", str(garbage)])
+    def test_deleted_trace_is_one_named_line(self, tmp_path, capsys):
+        runs, trace, _ = self.traced_run(tmp_path, capsys)
+        trace.unlink()
+        out = self.show(runs, capsys)
+        (line,) = [l for l in out.splitlines() if l.startswith("trace ")]
+        assert line.startswith(f"trace {trace}: unreadable (")
+        assert "No such file" in line
+        assert out.endswith(line + "\n")
+        assert "mapping cache:" in out  # the dump still renders
+
+    @pytest.mark.parametrize(
+        "dump",
+        [
+            {"metrics": [{"name": "x", "kind": "bogus", "data": 1}]},
+            {"metrics": "junk"},
+            [1, 2],
+        ],
+        ids=["unknown-kind", "string-series", "list"],
+    )
+    def test_corrupted_dump_is_one_line(self, tmp_path, capsys, dump):
+        runs, _, record = self.traced_run(tmp_path, capsys)
+        path = runs / f"{record['id']}.json"
+        stored = json.loads(path.read_text())
+        stored["metrics"] = dump
+        path.write_text(json.dumps(stored))
+        out = self.show(runs, capsys)
+        (line,) = [l for l in out.splitlines() if l.startswith("metrics dump")]
+        assert line.startswith("metrics dump: does not merge (")
+        assert "Traceback" not in out
+        assert "root spans cover" in out  # the trace still renders
+
+    def test_record_without_telemetry_prints_record_only(
+        self, tmp_path, capsys
+    ):
+        runs = tmp_path / "runs"
+        assert main(EVAL_ARGS + ["--runs-dir", str(runs)]) == 0
+        capsys.readouterr()
+        (record,) = ledger.list_runs(runs)
+        assert "metrics" not in record
+        assert self.show(runs, capsys) == run_report(record) + "\n"
