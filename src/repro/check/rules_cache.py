@@ -9,9 +9,12 @@ bit-identical, so the exclusion is sound, but it must be explicit).
 
 These rules generalize that audit: every field of a class listed in
 :data:`TOKEN_CONTRACTS` must either be referenced by its token method
-(``cache_token``/``to_json``) or be named in a ``NON_SEMANTIC``
-class-level allowlist — a ``frozenset`` of field names documented as
-not affecting results.
+(``cache_token``/``to_json``/``fingerprint``) or be named in a
+``NON_SEMANTIC`` class-level allowlist — a ``frozenset`` of field names
+documented as not affecting results.  A token that reads one of the
+class's own properties references every field that property reads,
+transitively (``LayerSpec.ix`` stands for ``ox``, ``sx``, ``fx``,
+``dx``, ``px`` and ``ix_clip``).
 
 * **CACHE001** — a field appears in neither the token method nor
   ``NON_SEMANTIC``.
@@ -33,6 +36,8 @@ from .registry import rule
 #: (file, class, token method) triples under the purity contract.
 TOKEN_CONTRACTS = (
     ("src/repro/mapping/loma.py", "SearchConfig", "cache_token"),
+    ("src/repro/workloads/layer.py", "LayerSpec", "cache_token"),
+    ("src/repro/hardware/accelerator.py", "Accelerator", "fingerprint"),
     ("src/repro/dse/space.py", "DesignPoint", "to_json"),
     ("src/repro/dse/space.py", "DesignSpace", "to_json"),
 )
@@ -48,6 +53,14 @@ class _TokenClass:
     allowlist: dict[str, int]
     allowlist_line: int | None
     token_method: ast.FunctionDef | None
+    properties: dict[str, ast.FunctionDef]
+
+
+def _is_property(node: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "property"
+        for d in node.decorator_list
+    )
 
 
 def _collect(node: ast.ClassDef, token_method: str) -> _TokenClass:
@@ -55,6 +68,7 @@ def _collect(node: ast.ClassDef, token_method: str) -> _TokenClass:
     allowlist: dict[str, int] = {}
     allowlist_line: int | None = None
     method: ast.FunctionDef | None = None
+    properties: dict[str, ast.FunctionDef] = {}
     for item in node.body:
         if isinstance(item, ast.AnnAssign) and isinstance(
             item.target, ast.Name
@@ -75,24 +89,36 @@ def _collect(node: ast.ClassDef, token_method: str) -> _TokenClass:
                             element.value, str
                         ):
                             allowlist[element.value] = element.lineno
-        elif isinstance(item, ast.FunctionDef) and item.name == token_method:
-            method = item
+        elif isinstance(item, ast.FunctionDef):
+            if item.name == token_method:
+                method = item
+            if _is_property(item):
+                properties[item.name] = item
     return _TokenClass(
         node=node,
         fields=fields,
         allowlist=allowlist,
         allowlist_line=allowlist_line,
         token_method=method,
+        properties=properties,
     )
 
 
-def _referenced_fields(method: ast.FunctionDef) -> set[str]:
-    """Field names the token method reads as ``self.<name>``."""
+def _referenced_fields(
+    method: ast.FunctionDef, properties: dict[str, ast.FunctionDef]
+) -> set[str]:
+    """Names the token method reads as ``self.<name>``, directly or
+    through the class's own ``properties`` (followed transitively)."""
     refs: set[str] = set()
-    for node in ast.walk(method):
-        name = astutil.self_attribute(node)
-        if name is not None:
+    pending = [method]
+    while pending:
+        for node in ast.walk(pending.pop()):
+            name = astutil.self_attribute(node)
+            if name is None or name in refs:
+                continue
             refs.add(name)
+            if name in properties:
+                pending.append(properties[name])
     return refs
 
 
@@ -118,10 +144,11 @@ def _token_classes(
 @rule(
     "CACHE001",
     "field missing from cache token",
-    "Every field of SearchConfig/DesignPoint/DesignSpace must be "
-    "referenced by its token method (cache_token/to_json) or listed in "
-    "the class's NON_SEMANTIC allowlist with a comment saying why it "
-    "cannot affect results.",
+    "Every field of SearchConfig/LayerSpec/Accelerator/DesignPoint/"
+    "DesignSpace must be referenced by its token method "
+    "(cache_token/fingerprint/to_json), directly or through the class's "
+    "own properties, or listed in the class's NON_SEMANTIC allowlist "
+    "with a comment saying why it cannot affect results.",
 )
 def check_token_coverage(ctx: CheckContext) -> Iterator[Finding]:
     for rel, method_name, info in _token_classes(ctx):
@@ -134,7 +161,7 @@ def check_token_coverage(ctx: CheckContext) -> Iterator[Finding]:
                 f"purity contract but has no {method_name}() method",
             )
             continue
-        referenced = _referenced_fields(info.token_method)
+        referenced = _referenced_fields(info.token_method, info.properties)
         for name in sorted(info.fields):
             if name in referenced or name in info.allowlist:
                 continue

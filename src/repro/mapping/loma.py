@@ -253,27 +253,6 @@ class MappingSearchEngine:
         self._solved: dict[str, tuple[SearchResult | None, str, bool]] = {}
 
     # ------------------------------------------------------------------
-    def _layer_key(self, layer: LayerSpec) -> Hashable:
-        return (
-            layer.op_type.value,
-            layer.k,
-            layer.c,
-            layer.ox,
-            layer.oy,
-            layer.fx,
-            layer.fy,
-            layer.sx,
-            layer.sy,
-            layer.dx,
-            layer.dy,
-            layer.act_bits,
-            layer.w_bits,
-            layer.psum_bits,
-            # The derived spans: with no clip they depend on the padding.
-            layer.ix,
-            layer.iy,
-        )
-
     def cache_key(
         self, layer: LayerSpec, accel: Accelerator, tops: Mapping[str, int]
     ) -> Hashable:
@@ -285,7 +264,7 @@ class MappingSearchEngine:
         architectures that differ structurally.
         """
         return (
-            self._layer_key(layer),
+            layer.cache_token(),
             accel.fingerprint(),
             tuple(sorted(tops.items())),
             self.config.cache_token(),

@@ -160,10 +160,6 @@ class TemporalMapping:
             total *= factor
         return total
 
-    def loops_inside(self, operand: str, levelidx: int) -> tuple[Loop, ...]:
-        """Loops whose data resides within ``levelidx`` for ``operand``."""
-        return self.loops[: self.boundaries[operand][levelidx]]
-
     def loops_above(self, operand: str, levelidx: int) -> tuple[Loop, ...]:
         """Loops iterating above ``levelidx`` for ``operand``."""
         return self.loops[self.boundaries[operand][levelidx] :]

@@ -92,6 +92,11 @@ class LayerSpec:
     ix_clip: int | None = None
     iy_clip: int | None = None
 
+    #: Fields that cannot affect results and are therefore excluded
+    #: from :meth:`cache_token` (checked by ``repro check`` CACHE001):
+    #: a layer's name labels it; its search problem is its shape.
+    NON_SEMANTIC = frozenset({"name"})
+
     def __post_init__(self) -> None:
         for attr in ("k", "c", "ox", "oy", "fx", "fy", "sx", "sy", "dx", "dy"):
             value = getattr(self, attr)
@@ -103,6 +108,29 @@ class LayerSpec:
             raise ValueError(
                 f"{self.name}: depthwise layers must have c == 1 (got {self.c})"
             )
+
+    def cache_token(self) -> tuple:
+        """The layer's part of a mapping-cache key: every field but the
+        name.  ``px``/``py`` and ``ix_clip``/``iy_clip`` enter through
+        the input spans ``ix``/``iy`` they determine."""
+        return (
+            self.op_type.value,
+            self.k,
+            self.c,
+            self.ox,
+            self.oy,
+            self.fx,
+            self.fy,
+            self.sx,
+            self.sy,
+            self.dx,
+            self.dy,
+            self.act_bits,
+            self.w_bits,
+            self.psum_bits,
+            self.ix,
+            self.iy,
+        )
 
     # ------------------------------------------------------------------
     # Geometry

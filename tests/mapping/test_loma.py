@@ -119,10 +119,9 @@ class TestCacheKey:
         fresh = encode_search_result(MappingSearchEngine(self.CONFIG).search(b, accel))
         assert shared[1] == fresh != shared[0]
 
-    def test_clipped_tile_keys_unchanged(self, accel):
-        """Scheduler tile layers set both clips, so keying on the derived
-        spans leaves their key strings (and cache files) byte-identical
-        to the clip-keyed format."""
+    def scheduler_searches(self, accel):
+        """The scheduler's engine and its (layer, tops, key) searches for
+        one MobileNetV1 point."""
         from repro import DepthFirstEngine, DFStrategy, OverlapMode, get_workload
 
         engine = DepthFirstEngine(accel, self.CONFIG)
@@ -138,6 +137,23 @@ class TestCacheKey:
             get_workload("mobilenet_v1"),
             DFStrategy(tile_x=14, tile_y=14, mode=OverlapMode.FULLY_CACHED),
         )
+        return engine, seen
+
+    def test_scheduler_key_is_pinned(self, accel):
+        """LayerSpec.cache_token and Accelerator.fingerprint keep every
+        byte of the persisted key format."""
+        _, seen = self.scheduler_searches(accel)
+        assert seen[0][2] == (
+            '[["conv",32,3,112,112,3,3,2,2,1,1,8,8,16,223,223],'
+            '"meta_proto_like_df:6f04ff59c9bc59b6",'
+            '[["I",1],["O",2],["W",3]],[5,50,"energy"]]'
+        )
+
+    def test_clipped_tile_keys_unchanged(self, accel):
+        """Scheduler tile layers set both clips, so keying on the derived
+        spans leaves their key strings (and cache files) byte-identical
+        to the clip-keyed format."""
+        engine, seen = self.scheduler_searches(accel)
         assert len(seen) > 20
         for spec, tops, key in seen:
             assert spec.ix_clip is not None and spec.iy_clip is not None
