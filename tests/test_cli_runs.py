@@ -306,11 +306,11 @@ class TestRunsCLI:
         [["stats", "run.jsonl"], ["runs", "regress", "--baseline", "base"]],
         ids=["stats", "runs-regress"],
     )
-    def test_removed_commands_are_usage_errors(self, tmp_path, capsys, argv):
+    def test_removed_commands_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
-            main(argv + ["--runs-dir", str(tmp_path / "runs")])
+            main(argv)
         assert info.value.code == 2
-        assert ledger.list_runs(tmp_path / "runs") == []
+        assert ledger.list_runs() == []
 
 
 class TestShowTelemetry:
@@ -365,10 +365,12 @@ class TestShowTelemetry:
         "dump",
         [
             {"metrics": [{"name": "x", "kind": "bogus", "data": 1}]},
+            {"metrics": [{"name": "mapping_cache_gets_total",
+                          "kind": "counter", "labels": [1], "data": 1}]},
             {"metrics": "junk"},
             [1, 2],
         ],
-        ids=["unknown-kind", "string-series", "list"],
+        ids=["unknown-kind", "bad-labels", "string-series", "list"],
     )
     def test_corrupted_dump_is_one_line(self, tmp_path, capsys, dump):
         runs, _, record = self.traced_run(tmp_path, capsys)
