@@ -341,15 +341,31 @@ class TestShowTelemetry:
         assert "root spans cover" in out
         assert "warning" not in out
 
-    def test_cut_trace_prints_best_effort(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "damage, expected, malformed",
+        [
+            # The final line cut mid-record, as a crash would.
+            (lambda t: t.rstrip("\n")[:-20] + "\n", "root spans cover", 1),
+            # Killed before the first write.
+            (lambda t: "", "no spans recorded", 0),
+            (lambda t: '{"half": \n{"also half": \n', "no spans recorded", 2),
+        ],
+        ids=["cut", "empty", "junk"],
+    )
+    def test_damaged_trace_renders_best_effort(
+        self, tmp_path, capsys, damage, expected, malformed
+    ):
         runs, trace, _ = self.traced_run(tmp_path, capsys)
-        # Cut the final line mid-record, as a crash would.
-        text = trace.read_text().rstrip("\n")
-        trace.write_text(text[: len(text) - 20] + "\n")
+        trace.write_text(damage(trace.read_text()))
         out = self.show(runs, capsys)
-        assert "root spans cover" in out
-        assert "warning: skipped 1 malformed line(s)" in out
-        assert "truncated by a crashed run?" in out
+        assert f"trace {trace}:\n" in out
+        assert expected in out
+        assert "mapping cache:" in out
+        if malformed:
+            assert f"warning: skipped {malformed} malformed line(s)" in out
+            assert "truncated by a crashed run?" in out
+        else:
+            assert "warning" not in out
 
     def test_deleted_trace_is_one_named_line(self, tmp_path, capsys):
         runs, trace, _ = self.traced_run(tmp_path, capsys)
