@@ -69,11 +69,6 @@ def mutated(rel, old, new):
     return source.replace(old, new)
 
 
-def test_mapping_key_classes_are_clean(tree):
-    for rel in (LAYER, ACCELERATOR):
-        assert cache_findings(tree, rel, (REPO_ROOT / rel).read_text()) == []
-
-
 def test_layer_token_reaches_padding_and_clips_through_ix(tree):
     """Only the derived span ix reads px and ix_clip: a token without
     it leaves exactly those two fields uncovered."""
