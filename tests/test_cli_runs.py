@@ -371,7 +371,7 @@ class TestShowTelemetry:
         runs, trace, _ = self.traced_run(tmp_path, capsys)
         trace.unlink()
         out = self.show(runs, capsys)
-        (line,) = [l for l in out.splitlines() if l.startswith("trace ")]
+        (line,) = [s for s in out.splitlines() if s.startswith("trace ")]
         assert line.startswith(f"trace {trace}: unreadable (")
         assert "No such file" in line
         assert out.endswith(line + "\n")
@@ -395,7 +395,7 @@ class TestShowTelemetry:
         stored["metrics"] = dump
         path.write_text(json.dumps(stored))
         out = self.show(runs, capsys)
-        (line,) = [l for l in out.splitlines() if l.startswith("metrics dump")]
+        (line,) = [s for s in out.splitlines() if s.startswith("metrics dump")]
         assert line.startswith("metrics dump: does not merge (")
         assert "Traceback" not in out
         assert "root spans cover" in out  # the trace still renders
