@@ -221,7 +221,10 @@ def load_run(ref: str, directory: str | Path | None = None) -> dict[str, Any]:
     whose JSON is not an object, raises :class:`ValueError` naming it."""
     as_path = Path(ref)
     if as_path.is_file():
-        record = json.loads(as_path.read_text())
+        try:
+            record = json.loads(as_path.read_text())
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ValueError(f"{as_path}: not a run record ({exc})") from exc
         if not isinstance(record, dict):
             raise ValueError(
                 f"{as_path}: not a run record (expected a JSON object, "

@@ -131,3 +131,31 @@ class LayerSpec:
 """
     (message,) = cache_findings(tree, LAYER, source)
     assert "LayerSpec.c " in message
+
+
+def test_mutually_recursive_properties_terminate(tree):
+    source = """
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class LayerSpec:
+    name: str
+    a: int = 1
+    b: int = 1
+
+    NON_SEMANTIC = frozenset({"name"})
+
+    @property
+    def ping(self):
+        return self.pong + self.a
+
+    @property
+    def pong(self):
+        return self.ping - 1
+
+    def cache_token(self):
+        return (self.ping,)
+"""
+    (message,) = cache_findings(tree, LAYER, source)
+    assert "LayerSpec.b " in message

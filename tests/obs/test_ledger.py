@@ -169,6 +169,28 @@ class TestReadBack:
         with pytest.raises(ValueError, match="no run matching"):
             ledger.load_run("zzz", runs)
 
+    @pytest.mark.parametrize(
+        "content, detail",
+        [
+            (b"{not json", "Expecting property name"),
+            (b"\xff\xfe garbage", "can't decode"),
+            (b"[1, 2]", "got list"),
+            (b'"x"', "got str"),
+            (b"null", "got NoneType"),
+            (b"3", "got int"),
+        ],
+        ids=["not-json", "not-utf8", "list", "string", "null", "number"],
+    )
+    def test_load_run_names_a_file_that_is_not_a_record(
+        self, runs, tmp_path, content, detail
+    ):
+        path = tmp_path / "bogus.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            ledger.load_run(str(path), runs)
+        assert str(info.value).startswith(f"{path}: not a run record (")
+        assert detail in str(info.value)
+
     def test_gc_keeps_newest(self, runs):
         handles = []
         for i in range(5):

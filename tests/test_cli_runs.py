@@ -301,6 +301,16 @@ class TestRunsCLI:
         with pytest.raises(SystemExit, match="bogus.json: not a run record"):
             main(argv + [str(bogus), "--runs-dir", str(runs)])
 
+    def test_non_json_record_file_exits_with_its_name(self, tmp_path):
+        """The decoder's message alone does not say which file it was."""
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text("{not json")
+        with pytest.raises(
+            SystemExit, match="bogus.json: not a run record .Expecting"
+        ):
+            main(["runs", "show", str(bogus),
+                  "--runs-dir", str(tmp_path / "runs")])
+
     @pytest.mark.parametrize(
         "argv",
         [["stats", "run.jsonl"], ["runs", "regress", "--baseline", "base"]],
@@ -376,6 +386,68 @@ class TestShowTelemetry:
         assert "No such file" in line
         assert out.endswith(line + "\n")
         assert "mapping cache:" in out  # the dump still renders
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda trace: (trace.unlink(), trace.mkdir()), "Is a directory"),
+            (lambda trace: trace.write_bytes(b"\xff\xfe\n"), "can't decode"),
+        ],
+        ids=["directory", "not-utf8"],
+    )
+    def test_unreadable_trace_is_one_named_line(
+        self, tmp_path, capsys, damage, reason
+    ):
+        runs, trace, _ = self.traced_run(tmp_path, capsys)
+        damage(trace)
+        out = self.show(runs, capsys)
+        (line,) = [s for s in out.splitlines() if s.startswith("trace ")]
+        assert line.startswith(f"trace {trace}: unreadable (")
+        assert reason in line
+        assert out.endswith(line + "\n")
+        assert "Traceback" not in out
+
+    def test_non_path_trace_entry_is_one_named_line(self, tmp_path, capsys):
+        """A corrupted manifest whose trace entry is not a path string."""
+        runs, _, record = self.traced_run(tmp_path, capsys)
+        path = runs / f"{record['id']}.json"
+        stored = json.loads(path.read_text())
+        stored["manifest"]["trace"] = 5
+        path.write_text(json.dumps(stored))
+        out = self.show(runs, capsys)
+        (line,) = [s for s in out.splitlines() if s.startswith("trace ")]
+        assert line.startswith("trace 5: unreadable (")
+        assert "mapping cache:" in out  # the dump still renders
+
+    def test_record_file_path_renders_telemetry(self, tmp_path, capsys):
+        """`runs show PATH` on a record file copied out of the ledger
+        renders the same sections as the ledger lookup."""
+        runs, trace, record = self.traced_run(tmp_path, capsys)
+        expected = self.show(runs, capsys)
+        copy = tmp_path / "attached.json"
+        copy.write_text((runs / f"{record['id']}.json").read_text())
+        assert main(["runs", "show", str(copy),
+                     "--runs-dir", str(tmp_path / "elsewhere")]) == 0
+        out = capsys.readouterr().out
+        assert "\nmetrics dump:\n  mapping cache: " in out
+        assert f"\ntrace {trace}:\n" in out
+        sections = expected[expected.index("\nmetrics dump:"):]
+        assert out.endswith(sections)
+
+    def test_metrics_without_trace_renders_the_dump_only(
+        self, tmp_path, capsys
+    ):
+        runs = tmp_path / "runs"
+        prom = tmp_path / "run.prom"
+        assert main(EVAL_ARGS + ["--runs-dir", str(runs),
+                                 "--metrics", str(prom)]) == 0
+        capsys.readouterr()
+        (record,) = ledger.list_runs(runs)
+        assert record["metrics"]
+        out = self.show(runs, capsys)
+        assert out.startswith(run_report(record) + "\nmetrics dump:\n")
+        assert "hit rate" in out
+        assert not [s for s in out.splitlines() if s.startswith("trace ")]
 
     @pytest.mark.parametrize(
         "dump",

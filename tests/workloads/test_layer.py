@@ -1,4 +1,7 @@
-"""Unit tests for LayerSpec: geometry, volumes, operand relevance."""
+"""Unit tests for LayerSpec: geometry, volumes, operand relevance and
+the mapping-cache token."""
+
+import dataclasses
 
 import pytest
 
@@ -121,3 +124,26 @@ class TestScaledToTile:
         tile = conv(act_bits=16, w_bits=4).scaled_to_tile(4, 4)
         assert tile.act_bits == 16
         assert tile.w_bits == 4
+
+
+class TestCacheToken:
+    def test_name_is_not_in_the_token(self):
+        assert conv("a").cache_token() == conv("b").cache_token()
+
+    def test_every_other_field_moves_the_token(self):
+        """The run-time side of CACHE001: changing any field outside
+        NON_SEMANTIC changes the token, so two layers that search
+        differently never share a cache entry."""
+        base = conv()
+        for field in dataclasses.fields(LayerSpec):
+            if field.name in LayerSpec.NON_SEMANTIC:
+                continue
+            value = getattr(base, field.name)
+            if field.name == "op_type":
+                changed = OpType.POOL
+            elif value is None:  # a clip: any span but the derived one
+                changed = getattr(base, field.name[:2]) + 1
+            else:
+                changed = value + 1
+            other = dataclasses.replace(base, **{field.name: changed})
+            assert other.cache_token() != base.cache_token(), field.name
