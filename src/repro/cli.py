@@ -1421,6 +1421,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in SUBCOMMANDS:
         return SUBCOMMANDS[argv[0]](argv[1:])
+    if argv and not argv[0].startswith("-"):
+        # The evaluation takes options only: a leading word is a command.
+        build_parser().error(
+            f"unknown command {argv[0]!r} "
+            f"(choose from {', '.join(map(repr, SUBCOMMANDS))})"
+        )
     return run_evaluate(argv)
 
 

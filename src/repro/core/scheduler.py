@@ -20,7 +20,8 @@ behaviour), per the strategy's :class:`StackBoundary`.
 
 An evaluation has two phases.  *Plan* runs steps 1-4 for every stack
 and lists each computed layer-tile's ``(scaled layer, tops)`` search
-problem.  *Assemble* hands the list to
+problem with its cache key, both from the engine's
+:class:`ProblemTable`.  *Assemble* hands the list to
 :meth:`~repro.mapping.loma.MappingSearchEngine.search_all` for step 5
 (grouped scoring of the cache misses, then one search per problem in
 plan order, raising the tops of an infeasible one) and runs step 6.
@@ -29,14 +30,21 @@ plan order, raising the tops of an infeasible one) and runs step 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from ..hardware.accelerator import Accelerator
 from ..mapping.cache import MappingCache
 from ..mapping.cost import CostResult
-from ..mapping.loma import MappingSearchEngine, SearchConfig
+from ..mapping.loma import MappingSearchEngine, SearchConfig, normalize_key
 from ..workloads.graph import WorkloadGraph
 from ..workloads.layer import LayerSpec
-from .backcalc import AxisMemo, StackTiling, TileType, backcalculate
+from .backcalc import (
+    AxisMemo,
+    LayerTileGeometry,
+    StackTiling,
+    TileType,
+    backcalculate,
+)
 from .datacopy import DataCopyAction, copy_cost
 from .memlevels import MemLevelPolicy, TileMemoryPlan, plan_tile_memory
 from .results import ScheduleResult, StackResult, TileTypeResult
@@ -44,15 +52,66 @@ from .stacks import Stack, partition_stacks
 from .strategy import DFStrategy, StackBoundary
 
 
+class ProblemTable:
+    """Each layer-tile search problem's scaled layer and normalized
+    cache key, built once per distinct problem (DESIGN.md §5.5).
+
+    A problem is fixed by the source layer, the compute width and
+    height, the input span on each axis and the tops; the owning engine
+    fixes the accelerator and the search config.  The source layer
+    enters the key by ``id()``, which no other object can take while
+    an entry holds the layer.  Entries leave oldest first beyond
+    :attr:`BOUND`.
+    """
+
+    #: Capacity (oldest out).  perfbench ``sweep_warm``'s 9,016 searches
+    #: are 3,242 distinct problems on its one engine.
+    BOUND = 4096
+
+    def __init__(self, accel: Accelerator, mapper: MappingSearchEngine) -> None:
+        self.accel = accel
+        self.mapper = mapper
+        self._entries: dict[tuple, tuple[LayerSpec, LayerSpec, str]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def problem(
+        self, geom: LayerTileGeometry, tops: Mapping[str, int]
+    ) -> tuple[LayerSpec, str]:
+        """``geom``'s scaled layer and its normalized cache key at
+        ``tops``, built only on a miss."""
+        x, y = geom.x, geom.y
+        ident = (
+            id(geom.layer),
+            x.fresh.width,
+            y.fresh.width,
+            x.in_need.width,
+            y.in_need.width,
+            tops["W"],
+            tops["I"],
+            tops["O"],
+        )
+        entry = self._entries.get(ident)
+        if entry is None:
+            scaled = geom.scaled_layer()
+            key = normalize_key(self.mapper.cache_key(scaled, self.accel, tops))
+            entry = self._entries[ident] = (geom.layer, scaled, key)
+            if len(self._entries) > self.BOUND:
+                del self._entries[next(iter(self._entries))]
+        return entry[1], entry[2]
+
+
 @dataclass
 class _TilePlan:
     """One tile type after steps 3-4: its memory plan, data-copy cost
-    and, per computed layer, ``(geometry index, scaled layer, tops)``."""
+    and, per computed layer, ``(geometry index, scaled layer, tops,
+    cache key)``."""
 
     tile: TileType
     plan: TileMemoryPlan
     copy_cost: CostResult
-    searches: list[tuple[int, LayerSpec, dict[str, int]]]
+    searches: list[tuple[int, LayerSpec, Mapping[str, int], str]]
 
 
 @dataclass
@@ -80,6 +139,7 @@ class DepthFirstEngine:
         #: Back-calculation memo, shareable by engines on any
         #: accelerator: back-calculation never reads the accelerator.
         self.axis_memo = axis_memo if axis_memo is not None else AxisMemo()
+        self.problems = ProblemTable(accel, self.mapper)
 
     @property
     def cache(self) -> MappingCache:
@@ -143,13 +203,19 @@ class DepthFirstEngine:
         """Steps 5-6 for planned stacks: search every layer-tile problem
         (:meth:`~repro.mapping.loma.MappingSearchEngine.search_all`), then
         accumulate the stack results."""
-        problems = [
-            (layer, tops)
+        searches = [
+            search
             for plan in plans
             for tile_plan in plan.tiles
-            for _, layer, tops in tile_plan.searches
+            for search in tile_plan.searches
         ]
-        found = iter(self.mapper.search_all(self.accel, problems))
+        found = iter(
+            self.mapper.search_all(
+                self.accel,
+                [(layer, tops) for _, layer, tops, _ in searches],
+                [key for *_, key in searches],
+            )
+        )
         return [self._assemble_stack(plan, found) for plan in plans]
 
     def _boundary_locations(
@@ -347,7 +413,8 @@ class DepthFirstEngine:
             copy_total.add(
                 copy_cost([DataCopyAction(n, bits, s, d) for n, s, d in moves])
             )
-            searches.append((idx, geom.scaled_layer(), tops))
+            scaled, key = self.problems.problem(geom, tops)
+            searches.append((idx, scaled, tops, key))
         return _TilePlan(tile=tile, plan=plan, copy_cost=copy_total, searches=searches)
 
     def _assemble_stack(self, stack_plan: _StackPlan, found) -> StackResult:
@@ -359,7 +426,7 @@ class DepthFirstEngine:
             tile = tile_plan.tile
             result = TileTypeResult(tile=tile, plan=tile_plan.plan)
             result.layer_costs = [CostResult() for _ in tile.geometry]
-            for idx, _, _ in tile_plan.searches:
+            for idx, *_ in tile_plan.searches:
                 result.layer_costs[idx] = next(found).cost
             result.copy_cost = tile_plan.copy_cost
             tile_results.append(result)

@@ -394,11 +394,14 @@ class MappingSearchEngine:
         self,
         accel: Accelerator,
         problems: Sequence[tuple[LayerSpec, Mapping[str, int]]],
+        keys: list[str] | None = None,
     ) -> list[str]:
         """Score the cache misses among ``problems`` in grouped kernel
         calls and hold their winners for :meth:`search`.
 
-        Returns each problem's normalized cache key, for
+        ``keys`` are the problems' normalized cache keys when the caller
+        already holds them (the depth-first engine's problem table);
+        they are built here otherwise.  Returns each problem's key, for
         ``search(..., key=...)``.  The distinct misses are grouped by
         (tops, active operands, loop count, whether ``K`` indexes
         ``I``) and each group is scored in calls of at most
@@ -413,10 +416,11 @@ class MappingSearchEngine:
         """
         from .cache import MappingCache
 
-        keys = [
-            normalize_key(self.cache_key(layer, accel, tops))
-            for layer, tops in problems
-        ]
+        if keys is None:
+            keys = [
+                normalize_key(self.cache_key(layer, accel, tops))
+                for layer, tops in problems
+            ]
         self._solved.clear()
         if self.config.engine != "batch" or not isinstance(self.cache, MappingCache):
             return keys
@@ -449,9 +453,11 @@ class MappingSearchEngine:
         self,
         accel: Accelerator,
         problems: Sequence[tuple[LayerSpec, Mapping[str, int]]],
+        keys: list[str] | None = None,
     ) -> list[SearchResult]:
         """Search every ``(layer, tops)`` problem, in order, after one
-        :meth:`solve` has scored their cache misses in grouped calls.
+        :meth:`solve` has scored their cache misses in grouped calls
+        (``keys`` as for :meth:`solve`).
 
         A problem whose tops have no feasible mapping is searched again
         at each of its :func:`raised_tops` in turn, and raises
@@ -459,7 +465,7 @@ class MappingSearchEngine:
         Winners :meth:`solve` held that no search took are dropped on the
         way out, also when a search raises.
         """
-        keys = self.solve(accel, problems)
+        keys = self.solve(accel, problems, keys)
         found = []
         try:
             for (layer, tops), key in zip(problems, keys):

@@ -217,8 +217,21 @@ def list_runs(directory: str | Path | None = None) -> list[dict[str, Any]]:
 
 def load_run(ref: str, directory: str | Path | None = None) -> dict[str, Any]:
     """Resolve a run reference: ``latest``, an exact id, a unique id
-    prefix, or a path to a record file.  A file that is not JSON, or
-    whose JSON is not an object, raises :class:`ValueError` naming it."""
+    prefix, or a path to a record file.  A file that is not JSON, whose
+    JSON is not an object, or whose ``manifest`` or ``versions`` is not
+    an object, raises :class:`ValueError` naming it."""
+    record = _resolve_run(ref, directory)
+    for field in ("manifest", "versions"):
+        value = record.get(field)
+        if value is not None and not isinstance(value, dict):
+            raise ValueError(
+                f"{record['_path']}: not a run record ({field} is a JSON "
+                f"{type(value).__name__}, expected an object)"
+            )
+    return record
+
+
+def _resolve_run(ref: str, directory: str | Path | None) -> dict[str, Any]:
     as_path = Path(ref)
     if as_path.is_file():
         try:

@@ -1,12 +1,15 @@
 """Unit tests for the shareable, persistent mapping cache."""
 
+import gc
 import json
 
 import pytest
 
 from repro import DepthFirstEngine, DFStrategy
 from repro.mapping import MappingCache
+from repro.mapping import cache as cache_module
 from repro.mapping.cache import (
+    cache_file_info,
     decode_search_result,
     encode_search_result,
     normalize_key,
@@ -104,6 +107,17 @@ class TestRoundTrip:
         with pytest.warns(UserWarning, match="not a mapping-cache file"):
             assert MappingCache().load(tmp_path) == 0
 
+    def test_non_utf8_file_discarded_not_fatal(self, tmp_path):
+        """Bytes that are not text are as unusable as text that is not
+        JSON: a warning (or ``ValueError`` when strict), and ``corrupt``."""
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.warns(UserWarning, match="not a mapping-cache file"):
+            assert len(MappingCache(path)) == 0
+        with pytest.raises(ValueError, match="not a mapping-cache file"):
+            MappingCache().load(path, strict=True)
+        assert cache_file_info(path)["status"] == "corrupt"
+
     def test_strict_load_raises(self, tmp_path):
         path = tmp_path / "stale.json"
         path.write_text(json.dumps({"format": 999, "entries": {}}))
@@ -123,6 +137,66 @@ class TestRoundTrip:
         cache.save(path)
         payload = json.loads(path.read_text())
         assert payload["stats"] == {"hits": cache.hits, "misses": cache.misses}
+
+
+class TestCollectorPause:
+    """Reading a cache file pauses the cyclic garbage collector and
+    leaves it as it found it, on every way out."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.fixture
+    def files(self, searched_cache, tmp_path):
+        """A good file, a malformed one and a missing one."""
+        good = searched_cache[0].save(tmp_path / "good.json")
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps({"format": 1, "entries": {"k": {}}}))
+        return good, malformed, tmp_path / "missing.json"
+
+    def test_entries_decode_paused(self, collector, files, monkeypatch):
+        seen = []
+        decode = cache_module.decode_search_result
+
+        def spy(data):
+            seen.append(gc.isenabled())
+            return decode(data)
+
+        monkeypatch.setattr(cache_module, "decode_search_result", spy)
+        assert len(MappingCache(files[0])) == len(seen) > 0
+        assert not any(seen)
+        assert gc.isenabled() is collector
+
+    def test_construct_and_load(self, collector, files):
+        good, malformed, missing = files
+        assert len(MappingCache(good)) > 0
+        assert gc.isenabled() is collector
+        assert len(MappingCache(missing)) == 0  # nothing to read
+        assert gc.isenabled() is collector
+        with pytest.warns(UserWarning, match="malformed mapping-cache entry"):
+            assert len(MappingCache(malformed)) == 0
+        assert gc.isenabled() is collector
+        assert MappingCache().load(good) > 0
+        assert gc.isenabled() is collector
+        with pytest.warns(UserWarning, match="not a mapping-cache file"):
+            assert MappingCache().load(missing) == 0
+        assert gc.isenabled() is collector
+        for path, match in ((malformed, "malformed"), (missing, "not a mapping")):
+            with pytest.raises(ValueError, match=match):
+                MappingCache().load(path, strict=True)
+            assert gc.isenabled() is collector
+
+    def test_save_merge_read(self, collector, files):
+        good, malformed, missing = files
+        for path in (good, malformed, missing):
+            MappingCache().save(path)
+            assert gc.isenabled() is collector
+        assert cache_file_info(good)["entries"] > 0  # the merge read adopted them
+        assert gc.isenabled() is collector
 
 
 class TestSharing:

@@ -312,15 +312,51 @@ class TestRunsCLI:
                   "--runs-dir", str(tmp_path / "runs")])
 
     @pytest.mark.parametrize(
-        "argv",
-        [["stats", "run.jsonl"], ["runs", "regress", "--baseline", "base"]],
-        ids=["stats", "runs-regress"],
+        "argv, name",
+        [
+            (["stats", "run.jsonl"], "'stats'"),
+            (["runs", "regress", "--baseline", "base"], "'regress'"),
+            (["dsee", "--workload", "fsrcnn"], "'dsee'"),
+        ],
+        ids=["stats", "runs-regress", "misspelt"],
     )
-    def test_removed_commands_are_usage_errors(self, capsys, argv):
+    def test_removed_commands_are_usage_errors(self, capsys, argv, name):
+        """An unknown command is named, not reported as a missing
+        ``--accelerator`` of the evaluation it is not."""
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert name in err and "--accelerator" not in err.splitlines()[-1]
         assert ledger.list_runs() == []
+
+    @pytest.mark.parametrize("field", ["manifest", "versions"])
+    @pytest.mark.parametrize("value", [[], ["a"], "x"])
+    @pytest.mark.parametrize("by", ["path", "id"])
+    def test_non_object_record_field_exits_with_its_name(
+        self, tmp_path, field, value, by
+    ):
+        """``runs show`` renders the manifest and versions as objects: a
+        record holding anything else is a named error, not a traceback."""
+        runs = tmp_path / "runs"
+        record = write_record(runs, "base", 1000.0)
+        record[field] = value
+        path = runs / "base.json"
+        path.write_text(json.dumps(record))
+        ref = str(path) if by == "path" else "base"
+        with pytest.raises(
+            SystemExit,
+            match=f"base.json: not a run record .{field} is a JSON",
+        ):
+            main(["runs", "show", ref, "--runs-dir", str(runs)])
+
+    def test_null_record_fields_still_render(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        record = write_record(runs, "base", 1000.0)
+        record.update(manifest=None, versions=None)
+        (runs / "base.json").write_text(json.dumps(record))
+        assert main(["runs", "show", "base", "--runs-dir", str(runs)]) == 0
+        assert "run base [ok]" in capsys.readouterr().out
 
 
 class TestShowTelemetry:
