@@ -139,6 +139,7 @@ class DepthFirstEngine:
         #: Back-calculation memo, shareable by engines on any
         #: accelerator: back-calculation never reads the accelerator.
         self.axis_memo = axis_memo if axis_memo is not None else AxisMemo()
+        #: Each layer-tile search problem's scaled layer and cache key.
         self.problems = ProblemTable(accel, self.mapper)
 
     @property

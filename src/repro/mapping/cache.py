@@ -99,17 +99,19 @@ class _UnusableFile(ValueError):
         self.payload = payload
 
 
-def _decode_file(source: Path) -> tuple[dict, dict[str, SearchResult]]:
-    """Parse a mapping-cache file and decode every entry: ``(payload,
-    entries)``, or :class:`_UnusableFile`.  The one reader of cache
-    files: :meth:`MappingCache.load`, the merge read of
-    :meth:`MappingCache.save` and :func:`cache_file_info` all call it.
+def _decode_file(source: Path) -> tuple[dict[str, SearchResult], dict]:
+    """Parse a mapping-cache file and decode every entry: ``(entries,
+    stats)``, with the hit/miss stats its last save recorded, or
+    :class:`_UnusableFile`.  The one reader of cache files:
+    :meth:`MappingCache.load`, the merge read of :meth:`MappingCache.save`
+    and :func:`cache_file_info` all call it.
 
     The cyclic garbage collector is paused while it runs and restored
     to its previous state on every exit.  Parsing and decoding allocate
     about ten tracked objects per entry and free none of them, so the
     collections they trigger find nothing; on a 3,242-entry file they
-    took about half of the load (DESIGN.md §5.5).
+    took about half of the load (DESIGN.md §5.6).  The parse tree is
+    not returned, so it is freed before the collector next runs.
     """
     paused = gc.isenabled()
     if paused:
@@ -140,7 +142,8 @@ def _decode_file(source: Path) -> tuple[dict, dict[str, SearchResult]]:
                 f"{source}: malformed mapping-cache entry: {exc!r}",
                 payload,
             ) from exc
-        return payload, entries
+        stats = payload.get("stats")
+        return entries, stats if isinstance(stats, dict) else {}
     finally:
         if paused:
             gc.enable()
@@ -363,7 +366,7 @@ class MappingCache:
         """Best-effort decode of a cache file's entries (for the
         merge-on-save read); anything unusable reads as empty."""
         try:
-            return _decode_file(path)[1]
+            return _decode_file(path)[0]
         except _UnusableFile:
             return {}
 
@@ -382,7 +385,7 @@ class MappingCache:
         if source is None:
             raise ValueError("MappingCache has no backing path; pass one")
         try:
-            _, entries = _decode_file(source)
+            entries, _ = _decode_file(source)
         except _UnusableFile as exc:
             return self._reject(str(exc), strict)
         return self.merge(entries)
@@ -419,18 +422,21 @@ def cache_file_info(path: str | Path) -> dict:
         return info
     info["size_bytes"] = source.stat().st_size
     try:
-        payload, _ = _decode_file(source)
-        status = "ok"
+        entries, stats = _decode_file(source)
     except _UnusableFile as exc:
-        payload, status = exc.payload, exc.status
-    if not isinstance(payload, dict) or not isinstance(
-        payload.get("entries"), dict
-    ):
-        info["status"] = "corrupt"
+        payload = exc.payload
+        if not isinstance(payload, dict) or not isinstance(
+            payload.get("entries"), dict
+        ):
+            info["status"] = "corrupt"
+            return info
+        stats = payload.get("stats")
+        info.update(
+            format=payload.get("format"),
+            entries=len(payload["entries"]),
+            stats=stats if isinstance(stats, dict) else {},
+            status=exc.status,
+        )
         return info
-    info["format"] = payload.get("format")
-    info["entries"] = len(payload["entries"])
-    stats = payload.get("stats")
-    info["stats"] = stats if isinstance(stats, dict) else {}
-    info["status"] = status
+    info.update(format=FORMAT_VERSION, entries=len(entries), stats=stats, status="ok")
     return info

@@ -225,8 +225,8 @@ def load_run(ref: str, directory: str | Path | None = None) -> dict[str, Any]:
         value = record.get(field)
         if value is not None and not isinstance(value, dict):
             raise ValueError(
-                f"{record['_path']}: not a run record ({field} is a JSON "
-                f"{type(value).__name__}, expected an object)"
+                f"{record['_path']}: not a run record "
+                f"({field} is not a JSON object)"
             )
     return record
 

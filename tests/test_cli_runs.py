@@ -346,7 +346,7 @@ class TestRunsCLI:
         ref = str(path) if by == "path" else "base"
         with pytest.raises(
             SystemExit,
-            match=f"base.json: not a run record .{field} is a JSON",
+            match=f"base.json: not a run record .{field} is not a JSON object",
         ):
             main(["runs", "show", ref, "--runs-dir", str(runs)])
 
