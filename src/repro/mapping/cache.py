@@ -136,7 +136,7 @@ def _decode_file(source: Path) -> tuple[dict[str, SearchResult], dict]:
                 key: decode_search_result(data)
                 for key, data in payload["entries"].items()
             }
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise _UnusableFile(
                 "malformed-entries",
                 f"{source}: malformed mapping-cache entry: {exc!r}",

@@ -101,6 +101,18 @@ class TestRoundTrip:
             cache = MappingCache(path)
         assert len(cache) == 0
 
+    def test_infinite_loop_factor_discarded_not_fatal(self, tmp_path):
+        """JSON's ``Infinity`` parses to a float that no loop factor can
+        be: a malformed entry, not an ``OverflowError`` traceback."""
+        path = tmp_path / "inf.json"
+        entry = {"loops": [["K", float("inf")]], "bounds": {}, "cost": {}}
+        path.write_text(json.dumps({"format": 1, "entries": {"k": entry}}))
+        with pytest.warns(UserWarning, match="malformed mapping-cache entry"):
+            assert len(MappingCache(path)) == 0
+        with pytest.raises(ValueError, match="malformed mapping-cache entry"):
+            MappingCache().load(path, strict=True)
+        assert cache_file_info(path)["status"] == "malformed-entries"
+
     def test_unreadable_path_discarded_not_fatal(self, tmp_path):
         """A cache path that is a directory (OSError on read) is
         discarded like any other unusable file."""
