@@ -65,7 +65,7 @@ class ProblemTable:
     """
 
     #: Capacity (oldest out).  perfbench ``sweep_warm``'s 9,016 searches
-    #: are 3,242 distinct problems on its one engine.
+    #: fill 3,502 entries on its one engine.
     BOUND = 4096
 
     def __init__(self, accel: Accelerator, mapper: MappingSearchEngine) -> None:
