@@ -61,8 +61,9 @@ def planned_searches(engine):
 def test_zoo_entries_equal_a_fresh_build(name):
     engine = DepthFirstEngine(get_accelerator(name))
     found = planned_searches(engine)
-    # The subset fits the bound (nothing evicted) and repeats problems.
-    assert len(found) > len(engine.problems) <= ProblemTable.BOUND
+    # The subset repeats problems and fits the bound (nothing evicted).
+    assert len(found) > len(engine.problems)
+    assert len(engine.problems) <= ProblemTable.BOUND
     for geom, tops, scaled, key in found:
         assert (scaled, key) == fresh(engine, geom, tops)
         assert scaled.name == geom.layer.name
