@@ -484,6 +484,9 @@ class MappingSearchEngine:
                     raise AllocationError(
                         f"{layer.name}: no feasible mapping even with DRAM tops"
                     ) from error
+                # The error's traceback holds this frame: keeping it
+                # would pin the frame, and the caller's, in a cycle.
+                del error
         finally:
             self._solved.clear()
         return found

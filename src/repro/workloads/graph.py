@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from .layer import LayerSpec
 
 
@@ -22,7 +20,9 @@ class WorkloadGraph:
 
     def __init__(self, name: str = "workload") -> None:
         self.name = name
-        self._graph: nx.DiGraph = nx.DiGraph()
+        self._layers: dict[str, LayerSpec] = {}
+        self._preds: dict[str, list[LayerSpec]] = {}
+        self._succs: dict[str, list[LayerSpec]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -30,43 +30,47 @@ class WorkloadGraph:
     def add_layer(self, layer: LayerSpec, inputs: Iterable[str] = ()) -> LayerSpec:
         """Add ``layer`` to the graph, consuming the outputs of ``inputs``.
 
-        ``inputs`` is an iterable of existing layer names; an empty iterable
-        marks the layer as consuming the external network input.  Every
-        input is checked before the graph changes, so a rejected layer
-        leaves no trace.  The new node only gains in-edges from existing
-        nodes, so it cannot close a cycle.
+        ``inputs`` is an iterable of existing layer names (a repeated name
+        is one edge); an empty iterable marks the layer as consuming the
+        external network input.  Every input is checked before the graph
+        changes, so a rejected layer leaves no trace.  The new node only
+        gains in-edges from existing nodes, so it cannot close a cycle.
         """
-        if layer.name in self._graph:
+        if layer.name in self._layers:
             raise ValueError(f"duplicate layer name {layer.name!r}")
-        inputs = list(inputs)
+        inputs = list(dict.fromkeys(inputs))
         for src in inputs:
             if src == layer.name:
                 raise ValueError(f"adding {layer.name!r} would create a cycle")
-            if src not in self._graph:
+            if src not in self._layers:
                 raise KeyError(f"unknown input layer {src!r} for {layer.name!r}")
-        self._graph.add_node(layer.name, layer=layer)
+        self._layers[layer.name] = layer
+        self._preds[layer.name] = [self._layers[src] for src in inputs]
+        self._succs[layer.name] = []
         for src in inputs:
-            self._graph.add_edge(src, layer.name)
+            self._succs[src].append(layer)
         return layer
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._layers
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._layers)
 
     def __iter__(self) -> Iterator[LayerSpec]:
         return iter(self.topological_layers())
 
+    def _lookup(self, table: dict, name: str):
+        if name not in table:
+            raise KeyError(f"no layer named {name!r} in {self.name!r}")
+        return table[name]
+
     def layer(self, name: str) -> LayerSpec:
         """Look up a layer by name."""
-        try:
-            return self._graph.nodes[name]["layer"]
-        except KeyError as exc:
-            raise KeyError(f"no layer named {name!r} in {self.name!r}") from exc
+        return self._lookup(self._layers, name)
 
     def layers(self) -> list[LayerSpec]:
         """All layers in insertion-stable topological order."""
@@ -78,23 +82,23 @@ class WorkloadGraph:
         ``add_layer`` only accepts already-present layers as inputs, so
         insertion order is always a valid topological order.
         """
-        return [self._graph.nodes[n]["layer"] for n in self._graph.nodes]
+        return list(self._layers.values())
 
     def predecessors(self, name: str) -> list[LayerSpec]:
-        """Producing layers of ``name`` (empty for input layers)."""
-        return [self._graph.nodes[p]["layer"] for p in self._graph.predecessors(name)]
+        """Producing layers of ``name`` in input order (empty for input layers)."""
+        return list(self._lookup(self._preds, name))
 
     def successors(self, name: str) -> list[LayerSpec]:
-        """Consuming layers of ``name``."""
-        return [self._graph.nodes[s]["layer"] for s in self._graph.successors(name)]
+        """Consuming layers of ``name``, in the order they were added."""
+        return list(self._lookup(self._succs, name))
 
     def is_source(self, name: str) -> bool:
         """Whether the layer consumes the external network input."""
-        return self._graph.in_degree(name) == 0
+        return not self._lookup(self._preds, name)
 
     def is_sink(self, name: str) -> bool:
         """Whether the layer produces a network output."""
-        return self._graph.out_degree(name) == 0
+        return not self._lookup(self._succs, name)
 
     def sources(self) -> list[LayerSpec]:
         """Layers consuming the external network input."""
@@ -106,10 +110,7 @@ class WorkloadGraph:
 
     def has_branches(self) -> bool:
         """Whether any feature map has more than one consumer or producer."""
-        return any(
-            self._graph.out_degree(n) > 1 or self._graph.in_degree(n) > 1
-            for n in self._graph.nodes
-        )
+        return any(len(e) > 1 for e in (*self._preds.values(), *self._succs.values()))
 
     def subgraph(self, names: Iterable[str]) -> "WorkloadGraph":
         """A new workload graph restricted to ``names`` (edges preserved)."""
@@ -117,10 +118,9 @@ class WorkloadGraph:
         sub = WorkloadGraph(name=f"{self.name}[{len(names)} layers]")
         keep = set(names)
         for layer in self.topological_layers():
-            if layer.name not in keep:
-                continue
-            inputs = [p.name for p in self.predecessors(layer.name) if p.name in keep]
-            sub.add_layer(layer, inputs)
+            if layer.name in keep:
+                inputs = [p.name for p in self._preds[layer.name] if p.name in keep]
+                sub.add_layer(layer, inputs)
         return sub
 
     # ------------------------------------------------------------------

@@ -52,6 +52,19 @@ def drive(strategy, sp, seed=0, max_rounds=50):
     return batches
 
 
+class ScriptedDraws(random.Random):
+    """A random source whose ``randrange`` returns scripted values."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = iter(draws)
+
+    def randrange(self, stop):
+        draw = next(self.draws)
+        assert 0 <= draw < stop
+        return draw
+
+
 class TestExhaustive:
     def test_proposes_entire_space_once(self):
         sp = space()
@@ -120,6 +133,20 @@ class TestGenetic:
         # The pool is the elite; every member must be evaluated and
         # bounded by the population size.
         assert 0 < len(strategy._pool) <= 6
+
+    def test_tournament_keeps_the_earlier_draw(self):
+        """A binary tournament returns whichever of its two uniform
+        draws comes first in the selection order (rank, then crowding),
+        so breeding favours the fitter parent."""
+        sp = space()
+        strategy = GeneticSearch(population=6, generations=2)
+        drive(strategy, sp, seed=0)
+        ordered = list(strategy._ordered)
+        assert len(set(ordered)) == 6
+        pairs = [(0, 5), (5, 0), (3, 3), (4, 1), (2, 5)]
+        strategy.rng = ScriptedDraws(i for pair in pairs for i in pair)
+        picks = [strategy._tournament() for _ in pairs]
+        assert picks == [ordered[min(pair)] for pair in pairs]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

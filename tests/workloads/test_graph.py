@@ -50,6 +50,13 @@ class TestTopology:
         assert [l.name for l in chain.predecessors("b")] == ["a"]
         assert [l.name for l in chain.successors("b")] == ["c"]
 
+    @pytest.mark.parametrize(
+        "query", ["predecessors", "successors", "is_source", "is_sink"]
+    )
+    def test_unknown_name_is_a_key_error(self, chain, query):
+        with pytest.raises(KeyError, match="no layer named 'zzz' in 'chain'"):
+            getattr(chain, query)("zzz")
+
     def test_no_branches_in_chain(self, chain):
         assert not chain.has_branches()
 

@@ -57,6 +57,14 @@ class TestRejectedAdd:
         chain.add_layer(layer("b"), ["a"])
         assert len(chain) == 3
 
+    def test_repeated_input_is_one_edge(self, chain):
+        chain.add_layer(layer("b"), ["x", "x"])
+        assert shape(chain) == [("a", [], ["x"]), ("x", ["a"], ["b"]), ("b", ["x"], [])]
+        assert not chain.has_branches()
+        chain.add_layer(layer("c"), ["b", "a", "b"])
+        assert [p.name for p in chain.predecessors("c")] == ["b", "a"]
+        assert [s.name for s in chain.successors("b")] == ["c"]
+
     def test_inputs_may_be_an_iterator(self, chain):
         chain.add_layer(layer("b"), iter(["a", "x"]))
         assert [p.name for p in chain.predecessors("b")] == ["a", "x"]
