@@ -27,12 +27,12 @@ def test_serial_sweep_leaves_no_cyclic_garbage(monkeypatch):
     layer-tiles to raised tops (the fallback path); the cached sweep
     point does not."""
     fallbacks = []
+    raised = loma.raised_tops
 
     def counting(accel, tops):
         fallbacks.append(tops)
         return raised(accel, tops)
 
-    raised = loma.raised_tops
     monkeypatch.setattr(loma, "raised_tops", counting)
     spec = SweepSpec.strategies(
         "meta_proto_like_df",

@@ -4,8 +4,8 @@ Every module-level import under ``src/repro/`` names the standard
 library, ``repro`` or a runtime dependency in ``pyproject.toml``; under
 ``tests/`` it may also name the ``tests`` package or a distribution of
 the ``test`` extra.  Imports inside functions are lazy, optional ones
-(matplotlib for ``--plot``) and are out of scope.  ``repro`` also runs
-with networkx unimportable: the workload graph no longer uses it.
+(matplotlib for ``--plot``) and are out of scope.  ``repro`` also
+imports and evaluates with networkx unimportable.
 """
 
 import ast
