@@ -55,6 +55,48 @@ def test_runtime_per_design_point(benchmark):
         assert cold < 60.0, f"{mode}: too slow"
 
 
+def usable_cpus() -> int:
+    """CPUs actually usable by this process (cgroup/affinity aware), not
+    the host count: in a 1-CPU container two workers only time-slice."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def zoo_sweep():
+    """perfbench's ``sweep_cold`` and ``sweep_service`` jobs and search
+    settings: the 75-job Table I zoo cross-product (five DNNs x five
+    accelerators x three tiles, fully cached, in a seeded shuffle) at
+    ``lpf_limit`` 6 and budget 150."""
+    from perfbench import suite
+
+    return suite.build_jobs("sweep_cold", 0), suite.search_config()
+
+
+def test_two_shards_beat_serial_on_the_zoo_sweep():
+    """Fan-out must pay on a sweep large enough to show it.
+
+    The cold zoo sweep takes 2-4 s serially on a 2-CPU host.  Timed
+    against ``Executor(jobs=2)``, shard start-up and shutdown included,
+    2 shards won 10 of 10 fresh-process runs before the per-node LOMA
+    kernel and 9 of 10 after it (the one loss: 2.68 s against 2.48 s).
+    The results must be identical either way; the speed assert needs
+    more than one usable CPU.
+    """
+    jobs, config = zoo_sweep()
+    t0 = time.perf_counter()
+    serial = Executor(jobs=1, search_config=config, cache=MappingCache()).run(jobs)
+    serial_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    with Executor(jobs=2, search_config=config, cache=MappingCache()) as parallel:
+        fanned = parallel.run(jobs)
+    parallel_s = time.perf_counter() - t0
+    assert [r.result.total for r in fanned] == [r.result.total for r in serial]
+    if usable_cpus() > 1:
+        assert parallel_s < serial_s, (serial_s, parallel_s)
+
+
 def test_parallel_sweep_and_persistent_cache(benchmark):
     """The exploration runtime on (a slice of) the Fig. 12 grid.
 
@@ -62,10 +104,11 @@ def test_parallel_sweep_and_persistent_cache(benchmark):
 
     1. serial, cold cache — the baseline;
     2. parallel (2 service shards), cold cache, shard start-up and
-       shutdown included — must be bit-identical to the serial run, and
-       faster whenever more than one CPU is available (on a single-core
-       machine process parallelism cannot win, so the speedup assert is
-       skipped there — the identity assert is not);
+       shutdown included — must be bit-identical to the serial run.  It
+       is not raced against run 1: the 12 points take 0.3-0.5 s
+       serially, about what starting the shards costs, so on a 2-CPU
+       host that race had no stable winner.  The speed gate is
+       :func:`test_two_shards_beat_serial_on_the_zoo_sweep`;
     3. serial, warm from the *persisted* cache of run 1 — must be
        faster than run 1, produce identical totals, and run zero new
        LOMA searches.
@@ -109,12 +152,7 @@ def test_parallel_sweep_and_persistent_cache(benchmark):
     (timings, serial, serial_results, parallel, parallel_results, warm_results,
      warm_cache) = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # CPUs actually usable by this process (cgroup/affinity aware), not
-    # the host count: in a 1-CPU container two workers only time-slice.
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     lines = [
         f"{len(spec)}-point Fig. 12 sweep slice ({cpus} CPU(s)):",
         f"  serial cold:    {timings['serial_cold']:7.2f}s "
@@ -131,10 +169,6 @@ def test_parallel_sweep_and_persistent_cache(benchmark):
     for s, p in zip(serial_results, parallel_results):
         assert s.job.strategy == p.job.strategy
         assert s.result.total == p.result.total
-
-    # With real parallel hardware, 2 workers beat the serial sweep.
-    if cpus > 1:
-        assert timings["parallel_cold"] < timings["serial_cold"], timings
 
     # The warm re-run is faster, identical, and searches nothing anew.
     assert timings["serial_warm"] < timings["serial_cold"], timings

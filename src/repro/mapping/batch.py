@@ -12,13 +12,16 @@ sizes, spatial use, strides, dilations, input spans, precisions, loop
 total) is a per-row column.  See DESIGN.md §2.2 for the axis-by-axis
 mapping to the §2.1 cost formulas; the layout in brief:
 
-* axis 0 — the row: one candidate ordering of one problem, leading axis
-  of every array;
-* axis 1 — the loop-prefix position ``p`` (0..n): cumulative dimension
-  products ``P[r, p, d]``, prefix factor products ``PF[r, p]`` and the
-  per-prefix resident footprints are all indexed by it;
-* axis 2 — the loop dimension, in :data:`~repro.mapping.temporal.DIMS`
-  order.
+* the row: one candidate ordering of one problem, leading axis of the
+  parameters, boundaries, traffic and latency;
+* the node: one distinct loop multiset among a problem's row prefixes.
+  A prefix's cumulative dimension products ``P[u, d]``, factor product
+  ``PF[u]``, iterations above ``suffix[u]`` and resident footprints do
+  not depend on the order of its loops, so they are computed once per
+  node, from its symbol counts.  ``nodes[r, p]`` names the node of row
+  ``r``'s first ``p`` loops (:class:`RowSet`), and every per-row read of
+  a prefix value goes through it;
+* the loop dimension, in :data:`~repro.mapping.temporal.DIMS` order.
 
 The greedy boundary placement of ``allocate`` (walk outwards until the
 level's capacity is exhausted) becomes a prefix scan: a boundary is the
@@ -44,6 +47,7 @@ so caches, checkpoints and golden fixtures stay byte-compatible.
 from __future__ import annotations
 
 import itertools
+import math
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
@@ -93,25 +97,99 @@ def _require_numpy() -> None:
         raise RuntimeError(NUMPY_ERROR)
 
 
+class RowSet:
+    """One problem's candidate rows with their prefix index.
+
+    ``rows`` are the row tuples, all permuting one symbol multiset.
+    :meth:`index` encodes them for the kernel; it is built on first use,
+    so the scalar engine never needs numpy, and kept, so a memoized row
+    set is encoded once.  A row set is a sequence of its rows.
+    """
+
+    __slots__ = ("rows", "_index")
+
+    def __init__(self, rows: Sequence[tuple[int, ...]]) -> None:
+        self.rows = tuple(rows)
+        self._index: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def index(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(symbols, nodes, counts)``: the ``(R, n)`` symbol array, the
+        ``(R, n+1)`` node id of each row prefix (column ``p`` holds the
+        first ``p`` loops) and each node's ``(U, n)`` symbol counts.  Two
+        prefixes share a node exactly when they hold the same multiset,
+        so node 0 is the empty prefix and column ``n`` is one node."""
+        if self._index is None:
+            self._index = _prefix_index(self.rows)
+        return self._index
+
+
+def _prefix_index(rows: Sequence[tuple[int, ...]]):
+    """:meth:`RowSet.index`: each prefix multiset is keyed by its symbol
+    counts in mixed radix (digit ``s`` below one more than the most
+    copies of ``s`` a row holds), so equal keys are equal multisets."""
+    count, n = len(rows), len(rows[0])
+    symbols = np.array(rows, dtype=np.int64).reshape(count, n)
+    if symbols.size and not 0 <= symbols.min() <= symbols.max() < n:
+        raise ValueError("a row must name symbols of its own loops only")
+    most = (symbols[:, :, None] == np.arange(n)).sum(axis=1).max(axis=0, initial=0)
+    radix = most + 1
+    if math.prod(radix.tolist()) >= 1 << 63:
+        raise ValueError("too many distinct loops to index the prefixes")
+    weight = np.cumprod(radix) // radix
+    keys = np.zeros((count, n + 1), dtype=np.int64)
+    np.cumsum(weight[symbols], axis=1, out=keys[:, 1:])
+    unique, nodes = np.unique(keys, return_inverse=True)
+    counts = unique[:, None] // weight % radix
+    return (
+        symbols.astype(np.min_scalar_type(max(n - 1, 0))),
+        nodes.reshape(count, n + 1).astype(np.min_scalar_type(len(unique) - 1)),
+        counts.astype(np.min_scalar_type(n)),
+    )
+
+
 class CandidateRows:
     """Candidate orderings of one or more search problems as integer rows.
 
     Each problem's distinct loops, sorted, form its symbol ``table``; a
     row names, innermost first, the symbol of each loop of one ordering.
-    ``rows`` holds every problem's rows back to back, in problem order,
-    and ``counts`` how many each problem has.  ``len()`` is the number
-    of rows, i.e. of orderings scored.
+    ``sets`` holds each problem's :class:`RowSet`, in problem order.
+    Built from plain lists, ``rows`` holds every problem's rows back to
+    back and ``counts`` how many each problem has; :meth:`from_sets`
+    takes row sets as they are.  ``len()`` is the number of rows, i.e.
+    of orderings scored.
     """
 
     def __init__(
         self,
         tables: Sequence[tuple[Loop, ...]],
-        rows: list[tuple[int, ...]],
+        rows: Sequence[tuple[int, ...]],
         counts: Sequence[int],
     ) -> None:
+        bounds = list(itertools.accumulate(counts, initial=0))
+        if bounds[-1] != len(rows):
+            raise ValueError("candidate rows must hold one problem per layer")
         self.tables = tuple(tables)
-        self.rows = rows
-        self.counts = tuple(counts)
+        self.sets = tuple(RowSet(rows[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @classmethod
+    def from_sets(
+        cls, tables: Sequence[tuple[Loop, ...]], sets: Sequence[RowSet]
+    ) -> "CandidateRows":
+        """Problems whose rows are already row sets (the search engine's
+        memoized ones, whose prefix index is kept between calls)."""
+        cands = cls.__new__(cls)
+        cands.tables = tuple(tables)
+        cands.sets = tuple(sets)
+        return cands
 
     @classmethod
     def from_orderings(
@@ -129,8 +207,13 @@ class CandidateRows:
         rows = [tuple(index[loop] for loop in c) for c in candidates]
         return cls((table,), rows, (len(rows),))
 
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """Each problem's number of rows."""
+        return tuple(map(len, self.sets))
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum(self.counts)
 
 
 class BatchEvaluation:
@@ -396,21 +479,17 @@ def _score_group(
     cands: CandidateRows,
 ) -> list:
     """The grouped kernel behind :func:`evaluate_candidates`: one outcome
-    per problem, each from that problem's own rows."""
-    if len(layers) != len(cands.counts) or sum(cands.counts) != len(cands.rows):
+    per problem, each from that problem's own rows and nodes."""
+    if len(layers) != len(cands.sets):
         raise ValueError("candidate rows must hold one problem per layer")
-    if not layers or any(count < 1 for count in cands.counts):
+    if not layers or 0 in cands.counts:
         raise ValueError("no candidate orderings to evaluate")
     outcomes: list = [None] * len(layers)
     live: list[int] = []  # problems scored in the arrays
-    starts: list[int] = []  # their first rows in the cands.rows order
     params: list[list[int]] = []
     shared = None
-    start = 0
-    for p, (layer, table, count) in enumerate(
-        zip(layers, cands.tables, cands.counts)
-    ):
-        first = cands.rows[start]
+    for p, (layer, table, rows) in enumerate(zip(layers, cands.tables, cands.sets)):
+        first = rows[0]
         signature = (
             active_operands(layer),
             "K" in layer.relevant_dims("I"),
@@ -428,91 +507,101 @@ def _score_group(
             outcomes[p] = row
         else:
             live.append(p)
-            starts.append(start)
             params.append(row)
-        start += count
     operands, _, n = shared
     in_range = all(
         0 <= tops.get(op, len(accel.hierarchy(op)) - 1) < len(accel.hierarchy(op))
         for op in operands
     )
     if not in_range:  # reserve_top_levels raises for every problem
-        for p, first_row, row in zip(live, starts, params):
+        for p, row in zip(live, params):
             outcomes[p] = _infeasible(
-                layers[p], accel, tops, cands.tables[p],
-                cands.rows[first_row : first_row + cands.counts[p]], row[_TOTAL],
+                layers[p], accel, tops, cands.tables[p], cands.sets[p].rows,
+                row[_TOTAL],
             )
     if not live or not in_range:
         return outcomes
 
     # ------------------------------------------------------------------
-    # Per-row parameters and candidate tensors: P[r, p, d], PF[r, p],
-    # suffix[r, p].  Row r belongs to live problem pid[r].
+    # Rows and nodes.  Row r belongs to live problem pid[r]; node u, one
+    # distinct prefix multiset of a problem's rows, to node_pid[u], and
+    # nodes[r, p] is the node of row r's first p loops.  Every problem
+    # has nodes of its own (ids offset past the previous problems'), also
+    # when problems share a row set: node values read the problem's loop
+    # table and parameters.
     # ------------------------------------------------------------------
-    counts = [cands.counts[p] for p in live]
-    if len(live) == len(layers):
-        rows = cands.rows
-    else:
-        rows = [
-            row for s, c in zip(starts, counts) for row in cands.rows[s : s + c]
-        ]
-    count = len(rows)
-    pid = np.repeat(np.arange(len(live)), counts)
-    param = np.array(params, dtype=np.int64)[pid]
-    column = {name: param[:, i] for name, i in _COLUMN.items()}
-    sym_base, sym_dim, sym_factor = [], [], []
-    for p in live:
-        sym_base.append(len(sym_dim))
-        sym_dim.extend(DIM_INDEX[dim] for dim, _ in cands.tables[p])
-        sym_factor.extend(factor for _, factor in cands.tables[p])
-    symbols = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=np.int64, count=count * n
-    ).reshape(count, n)
-    symbols += np.array(sym_base, dtype=np.int64)[pid][:, None]
-    dims_idx = np.array(sym_dim, dtype=np.int64)[symbols]
-    factors = np.array(sym_factor, dtype=np.int64)[symbols]
-    rowidx = np.arange(count)
-    flat = rowidx * (n + 1)
-
-    def at(table, cols):
-        """``table[r, cols[r]]`` for every row of an (R, n+1) table."""
-        return table.ravel()[flat + cols]
-
-    P = np.empty((count, n + 1, len(DIMS)), dtype=np.int64)
-    P[:, 0] = 1
-    for i in range(n):
-        P[:, i + 1] = P[:, i]
-        P[rowidx, i + 1, dims_idx[:, i]] *= factors[:, i]
-    PF = np.concatenate(
-        [np.ones((count, 1), dtype=np.int64), np.cumprod(factors, axis=1)],
-        axis=1,
+    each_symbols, each_nodes, each_held = zip(
+        *(cands.sets[p].index() for p in live)
     )
+    counts = [len(rows) for rows in each_symbols]
+    node_counts = [len(held) for held in each_held]
+    count = sum(counts)
+    pid = np.repeat(np.arange(len(live)), counts)
+    node_pid = np.repeat(np.arange(len(live)), node_counts)
+    symbols = np.concatenate(each_symbols)
+    nodes = np.concatenate(each_nodes, dtype=np.intp)
+    nodes += np.repeat(np.cumsum([0] + node_counts[:-1]), counts)[:, None]
+    held = np.concatenate(each_held)
+    # Each problem's symbol table as (dim index, factor), padded to n
+    # symbols with factor-1 loops that no node holds.
+    padding = (("K", 1),) * n
+    loops = np.array(
+        [
+            (DIM_INDEX[dim], factor)
+            for p in live
+            for dim, factor in (*cands.tables[p], *padding)[:n]
+        ],
+        dtype=np.int64,
+    ).reshape(len(live), n, 2)
+    sym_dim, sym_factor = loops[:, :, 0], loops[:, :, 1]
+    dims_idx = sym_dim[pid[:, None], symbols]  # (R, n) loop dims per row
+
+    # Node values P[u, d], PF[u] and suffix[u]: a prefix holding `count`
+    # copies of a loop multiplies its dimension by factor ** count.
+    power = sym_factor[node_pid] ** held
+    in_dim = sym_dim[node_pid][:, :, None] == np.arange(len(DIMS))
+    P = np.where(in_dim, power[:, :, None], 1).prod(axis=1)
+    PF = power.prod(axis=1)
+    problem_param = np.array(params, dtype=np.int64)
+    param, node_param = problem_param[pid], problem_param[node_pid]
+    column = {name: param[:, i] for name, i in _COLUMN.items()}
     total_iter = param[:, _TOTAL]
     iterations = total_iter.astype(np.float64)
-    suffix = total_iter[:, None] // PF  # exact: PF divides the total product
+    suffix = node_param[:, _TOTAL] // PF  # exact: PF divides the total product
 
-    sizes = param[:, None, _SIZES]
+    sizes = node_param[:, _SIZES]
     spatial = param[:, _SPATIAL]
     clamp_plain = np.minimum(P, sizes)
-    clamp_merged = np.minimum(P * spatial[:, None, :], sizes)
+    clamp_merged = np.minimum(P * node_param[:, _SPATIAL], sizes)
 
-    # The footprint formulas read each row's geometry; relevance is
-    # shared by the group.
-    geometry = SimpleNamespace(
-        relevant_dims=layers[live[0]].relevant_dims,
-        **{name: column[name][:, None] for name in _PARAMS},
-    )
+    # The footprint formulas read the geometry of each row (datapath) or
+    # node (residency); relevance is shared by the group.
+    def geometry(values) -> SimpleNamespace:
+        return SimpleNamespace(
+            relevant_dims=layers[live[0]].relevant_dims,
+            **{name: values[:, _COLUMN[name]] for name in _PARAMS},
+        )
+
+    node_geometry = geometry(node_param)
 
     def footprints(get_dim) -> dict[str, "np.ndarray"]:
         return {
-            op: operand_footprint(geometry, op, get_dim, minimum=np.minimum)
+            op: operand_footprint(node_geometry, op, get_dim, minimum=np.minimum)
             for op in operands
         }
 
     # Per-PE levels see no spatial merge; shared levels and the cost
-    # model do.  Column n is the full (ordering-independent) footprint.
-    elems_plain = footprints(lambda dim: clamp_plain[:, :, DIM_INDEX[dim]])
-    elems_merged = footprints(lambda dim: clamp_merged[:, :, DIM_INDEX[dim]])
+    # model do.  ``full``, the node of each row's whole multiset, holds
+    # its full (ordering-independent) footprint.
+    elems_plain = footprints(lambda dim: clamp_plain[:, DIM_INDEX[dim]])
+    elems_merged = footprints(lambda dim: clamp_merged[:, DIM_INDEX[dim]])
+    full = nodes[:, n]
+    flat = np.arange(count) * (n + 1)
+    node_of = nodes.ravel()
+
+    def at(cols):
+        """The node of every row r's prefix ``cols[r]``."""
+        return node_of[flat + cols]
 
     # ------------------------------------------------------------------
     # Phase 1: full-footprint reservation of every operand's top level
@@ -526,7 +615,7 @@ def _score_group(
         inst = hierarchy[tops.get(op, len(hierarchy) - 1)].instance
         if inst.is_dram:
             continue
-        elems = (elems_plain if inst.per_pe else elems_merged)[op][:, n]
+        elems = (elems_plain if inst.per_pe else elems_merged)[op][full]
         resident = elems * column[_OPERAND_BITS[op]] / 8.0
         already = used.get(inst.uid, 0.0)
         infeasible |= resident + already > inst.size_bytes
@@ -534,11 +623,13 @@ def _score_group(
             used[inst.uid] = already + resident
 
     # ------------------------------------------------------------------
-    # Phase 2: greedy boundary placement as prefix scans.
+    # Phase 2: greedy boundary placement as prefix scans over each row's
+    # nodes.
     # ------------------------------------------------------------------
     zeros = np.zeros(count)
     n_col = np.full(count, n, dtype=np.int64)
     pos = np.arange(1, n + 1)
+    inner = nodes[:, 1:]
     boundaries: dict[str, "np.ndarray"] = {}
     for op in PRIORITY:
         if op not in operands:
@@ -546,7 +637,7 @@ def _score_group(
             continue
         hierarchy = accel.hierarchy(op)
         levels = hierarchy[: tops.get(op, len(hierarchy) - 1) + 1]
-        bits = column[_RESIDENT_BITS[op]][:, None]
+        bits = node_param[:, _COLUMN[_RESIDENT_BITS[op]]]
         cols = []
         prev = np.zeros(count, dtype=np.int64)
         for idx, level in enumerate(levels):
@@ -556,23 +647,24 @@ def _score_group(
             inst = level.instance
             avail = inst.size_bytes - used.get(inst.uid, zeros)
             elems = (elems_plain if inst.per_pe else elems_merged)[op]
-            resident = elems * bits / 8.0  # (R, n+1) float64, scalar-exact
+            resident = elems * bits / 8.0  # (U,) float64, scalar-exact
             # Greedy walk == length of the leading run of prefixes that
             # still fit (positions at or below the previous boundary
             # count as already taken).
-            fits = resident[:, 1:] <= avail[:, None]
+            fits = resident[inner] <= avail[:, None]
             taken = fits | (pos[None, :] <= prev[:, None])
             bound = np.cumprod(taken, axis=1, dtype=np.int64).sum(axis=1)
             if not inst.per_pe:
                 used[inst.uid] = used.get(inst.uid, zeros) + np.minimum(
-                    at(resident, bound), avail
+                    resident[at(bound)], avail
                 )
             cols.append(bound)
             prev = bound
         boundaries[op] = np.stack(cols, axis=1)
 
     # ------------------------------------------------------------------
-    # Cost model (§2.1), row axis leading everywhere.
+    # Cost model (§2.1), row axis leading everywhere; prefix values are
+    # read from the node of each row's boundary.
     # ------------------------------------------------------------------
     traffic: dict[TrafficKey, list] = {}
 
@@ -587,6 +679,7 @@ def _score_group(
     bytes_demand: dict[int, object] = {}
     beyond = np.zeros(count, dtype=bool)
     psum_bytes = column["psum_bits"] / 8.0
+    rows_geometry = geometry(param)
 
     for op in operands:  # W, I, O order: weight-less layers skip W
         hierarchy = accel.hierarchy(op)
@@ -596,7 +689,7 @@ def _score_group(
         # Datapath boundary: array <-> level 0.
         level0 = levels[0]
         inst0 = level0.instance
-        datapath_elems = iterations * _wave_elems(geometry, op, spatial, column)
+        datapath_elems = iterations * _wave_elems(rows_geometry, op, spatial, column)
         e0 = entry(op, level0.name)
         if op == "O":
             e0[0] += datapath_elems
@@ -615,21 +708,22 @@ def _score_group(
             )
 
         # Inter-level boundaries.
-        final = elems_merged[op][:, n]
-        relevant = geometry.relevant_dims(op)
+        final = elems_merged[op][full]
+        relevant = rows_geometry.relevant_dims(op)
         rel_tab = np.array([d in relevant for d in DIMS])
         irrelevant = ~rel_tab[dims_idx]  # (R, n)
         for levelidx in range(1, len(levels)):
             lower = levels[levelidx - 1]
             upper = levels[levelidx]
             prefix = boundaries[op][:, levelidx - 1]
-            above = at(suffix, prefix)
+            node = at(prefix)
+            above = suffix[node]
             # Stationarity credit: contiguous irrelevant run above the
             # boundary, as a prefix-product ratio.
             run_ok = (np.arange(n)[None, :] < prefix[:, None]) | irrelevant
             run = np.cumprod(run_ok, axis=1, dtype=np.int64).sum(axis=1)
-            credit = at(PF, run) // at(PF, prefix)
-            resident = at(elems_merged[op], prefix)
+            credit = PF[at(run)] // PF[node]
+            resident = elems_merged[op][node]
             product = resident.astype(np.float64) * above.astype(np.float64)
             beyond |= product >= _EXACT
             crossings = product / credit
@@ -682,7 +776,7 @@ def _score_group(
     traffic_arrays = {key: tuple(arrays) for key, arrays in traffic.items()}
     for j, p in enumerate(live):
         layer, count = layers[p], counts[j]
-        member_rows = cands.rows[starts[j] : starts[j] + count]
+        member_rows = cands.sets[p].rows
         if infeasible[first_rows[j]]:
             outcomes[p] = _infeasible(
                 layer, accel, tops, cands.tables[p], member_rows, params[j][_TOTAL]
@@ -692,14 +786,14 @@ def _score_group(
                 f"{layer.name}: crossings beyond exact float64"
             )
         else:
-            at = slice(int(first_rows[j]), int(first_rows[j]) + count)
+            own = slice(int(first_rows[j]), int(first_rows[j]) + count)
             outcomes[p] = BatchEvaluation(
                 layer, accel, tops, cands.tables[p], member_rows,
                 feasible=np.ones(count, dtype=bool),
-                boundaries={op: b[at] for op, b in boundaries.items()},
-                latency=latency[at],
+                boundaries={op: b[own] for op, b in boundaries.items()},
+                latency=latency[own],
                 traffic={
-                    key: (reads[at], writes[at], energy[at])
+                    key: (reads[own], writes[own], energy[own])
                     for key, (reads, writes, energy) in traffic_arrays.items()
                 },
                 mac_count=layer.mac_count,
@@ -727,12 +821,12 @@ def _wave_elems(geometry, op: str, spatial, column) -> "np.ndarray":
     """Per-row operand elements fetched per spatial wave: the array
     mirror of :func:`~repro.mapping.zigzag.spatial_relevant`."""
     relevant = geometry.relevant_dims(op)
-    one = np.ones((len(spatial), 1), dtype=np.int64)
+    one = np.ones(len(spatial), dtype=np.int64)
 
     def get(dim: str):
-        return spatial[:, DIM_INDEX[dim], None] if dim in relevant else one
+        return spatial[:, DIM_INDEX[dim]] if dim in relevant else one
 
-    elems = operand_footprint(geometry, op, get, minimum=np.minimum)[:, 0]
+    elems = operand_footprint(geometry, op, get, minimum=np.minimum)
     if op != "I":
         return elems.astype(np.float64)
 

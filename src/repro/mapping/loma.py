@@ -16,12 +16,14 @@ Results are memoized: DeFiNES evaluates identical layer-tile shapes many
 times across tile types and sweep points.
 
 Candidates are integer rows over a problem's sorted distinct loops
-(:class:`~repro.mapping.batch.CandidateRows`): the lexicographic
-permutation order depends only on the loops' multiplicity pattern, so
-the permutation rows are memoized per pattern.  :meth:`~MappingSearchEngine.solve`
-scores many problems' cache misses in grouped kernel calls ahead of
-their searches, and :meth:`~MappingSearchEngine.search_all` runs both
-for a depth-first evaluation (DESIGN.md §2.2).
+(:class:`~repro.mapping.batch.CandidateRows`).  They depend only on the
+loops' multiplicity pattern, the canonical rows and the budget, so each
+such triple has one memoized :class:`~repro.mapping.batch.RowSet`, which
+keeps the prefix index the batch kernel builds for it.
+:meth:`~MappingSearchEngine.solve` scores many problems' cache misses in
+grouped kernel calls ahead of their searches, and
+:meth:`~MappingSearchEngine.search_all` runs both for a depth-first
+evaluation (DESIGN.md §2.2).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .. import obs
 from ..hardware.accelerator import Accelerator
 from ..workloads.layer import LayerSpec
 from .allocation import AllocationError, active_operands, allocate
-from .batch import BatchFallback, CandidateRows, evaluate_candidates
+from .batch import BatchFallback, CandidateRows, RowSet, evaluate_candidates
 from .cost import CostResult, Objective, resolve_objective
 from .loops import Loop, lpf_decompose, multiset_permutations
 from .temporal import TemporalMapping, temporal_sizes
@@ -46,9 +48,11 @@ from .zigzag import evaluate_mapping
 ENGINES = ("batch", "scalar")
 
 #: Most candidate rows one grouped scoring call takes (a problem with
-#: more rows is scored alone).  The cap bounds the kernel's temporaries:
-#: uncapped groups raised a cold zoo sweep's peak memory by 40%, and
-#: were no faster.
+#: more rows is scored alone).  The cap bounds the kernel's per-row
+#: temporaries.  Caps of 2,048 and 4,096 rows (471 and 374 calls on a
+#: cold zoo sweep, against 700) raised the median peak memory by 0.7 and
+#: 1.6 MB there and by 1.3 and 3.9 MB on the service sweep, and each won
+#: only 7 of 11 runs against this cap (DESIGN.md §2.2).
 GROUP_ROWS = 1024
 
 if TYPE_CHECKING:  # imported lazily at runtime (cache.py imports this module)
@@ -138,13 +142,20 @@ def _canonical_orderings(loops: list[Loop]) -> list[tuple[Loop, ...]]:
 
 
 @functools.lru_cache(maxsize=256)
-def _permutation_rows(pattern: tuple[int, ...], limit: int) -> tuple:
-    """The first ``limit`` lexicographic permutations of the multiset
-    holding symbol ``s`` ``pattern[s]`` times.  Every loop multiset with
-    this multiplicity pattern enumerates in this order, so one memo
-    entry serves all of them."""
+def _row_set(
+    pattern: tuple[int, ...], canonical: tuple[tuple[int, ...], ...], budget: int
+) -> RowSet:
+    """The candidate rows of every problem with this multiplicity
+    pattern and these canonical rows: the canonical dataflows, then the
+    first lexicographic permutations of the multiset holding symbol
+    ``s`` ``pattern[s]`` times, up to ``budget`` rows and skipping the
+    canonical ones.  The rows depend on nothing else, so one entry (and
+    its prefix index, once the kernel builds it) serves all of them."""
     symbols = [s for s, times in enumerate(pattern) for _ in range(times)]
-    return tuple(itertools.islice(multiset_permutations(symbols), limit))
+    limit = max(budget - len(canonical), 0)
+    seen = set(canonical)
+    permutations = itertools.islice(multiset_permutations(symbols), limit)
+    return RowSet(canonical + tuple(row for row in permutations if row not in seen))
 
 
 #: ``json.dumps(key, separators=(",", ":"))`` without building an
@@ -332,17 +343,14 @@ class MappingSearchEngine:
 
     def _candidate_rows(
         self, layer: LayerSpec, accel: Accelerator
-    ) -> tuple[tuple[Loop, ...], list[tuple[int, ...]]]:
+    ) -> tuple[tuple[Loop, ...], RowSet]:
         """The problem's candidate orderings as integer rows over its
         sorted distinct loops: the canonical dataflows, then the first
-        lexicographic permutations up to the budget."""
+        lexicographic permutations up to the budget (a memoized row
+        set)."""
         sizes = tuple(temporal_sizes(layer, accel).items())
         table, pattern, canonical = _loop_rows(sizes, self.config.lpf_limit)
-        rows = list(canonical)
-        seen = set(canonical)
-        budget = max(self.config.budget - len(rows), 0)
-        rows.extend(row for row in _permutation_rows(pattern, budget) if row not in seen)
-        return table, rows
+        return table, _row_set(pattern, canonical, self.config.budget)
 
     def _run(
         self,
@@ -368,10 +376,9 @@ class MappingSearchEngine:
         signature in one call: ``(winner, engine, fell_back)`` each.  A
         problem the kernel cannot score exactly runs on the scalar
         engine, as it would alone."""
-        rows = CandidateRows(
+        rows = CandidateRows.from_sets(
             [table for _, table, _ in members],
-            [row for *_, member_rows in members for row in member_rows],
-            [len(member_rows) for *_, member_rows in members],
+            [member_rows for *_, member_rows in members],
         )
         try:
             outcomes = evaluate_candidates(
@@ -523,7 +530,7 @@ class MappingSearchEngine:
         accel: Accelerator,
         tops: Mapping[str, int],
         table: tuple[Loop, ...],
-        rows: list[tuple[int, ...]],
+        rows: Sequence[tuple[int, ...]],
         objective: str | Objective,
     ) -> SearchResult | None:
         """Reference one-ordering-at-a-time scoring loop over the integer

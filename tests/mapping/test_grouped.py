@@ -185,6 +185,58 @@ class TestGroupEqualsSingles:
             evaluate_candidates([conv, pool], accel, tops, rows)
 
 
+class TestSharedRowSets:
+    def test_problems_sharing_a_row_set_keep_their_own_nodes(self):
+        """Problems whose rows are one memoized row set, but whose loop
+        factors and parameters differ, scored in one call: each gets the
+        outcome it gets alone and the scalar engine's search result."""
+        accel = get_accelerator("meta_proto_like_df")
+        config = SearchConfig(lpf_limit=5, budget=60)
+        engine = MappingSearchEngine(config)
+        layers = [
+            LayerSpec(name="a", k=32 * 6, c=2 * 15, ox=4, oy=4),
+            LayerSpec(name="b", k=32 * 10, c=2 * 21, ox=4, oy=4, sx=2, sy=2,
+                      w_bits=4, act_bits=16, psum_bits=32),
+            LayerSpec(name="c", k=32 * 4, c=2 * 9, ox=4, oy=4),  # another set
+            LayerSpec(name="d", k=32 * 14, c=2 * 33, ox=4, oy=4, act_bits=4),
+        ]
+        members = [(layer, *engine._candidate_rows(layer, accel)) for layer in layers]
+        shared = members[0][2]
+        assert members[1][2] is shared and members[3][2] is shared
+        assert members[2][2] is not shared
+        assert len({table for _, table, _ in members}) == len(members)
+        for tops in (
+            {op: accel.top_level_index(op) for op in "WIO"},
+            {"W": 1, "I": 1, "O": 1},
+        ):
+            grouped = evaluate_candidates(
+                layers, accel, tops, CandidateRows.from_sets(
+                    [table for _, table, _ in members],
+                    [rows for _, _, rows in members],
+                ),
+            )
+            alone = [
+                evaluate_candidates(
+                    (layer,), accel, tops, CandidateRows.from_sets((table,), (rows,))
+                )[0]
+                for layer, table, rows in members
+            ]
+            assert [outcome_fields(o) for o in grouped] == [
+                outcome_fields(o) for o in alone
+            ]
+            scalar = MappingSearchEngine(
+                SearchConfig(lpf_limit=5, budget=60, engine="scalar")
+            )
+            for layer, outcome in zip(layers, grouped):
+                winner = _winner(outcome, "energy")
+                assert winner is not None
+                reference = scalar.search(layer, accel, tops)
+                assert encode_search_result(winner) == encode_search_result(
+                    reference
+                )
+                assert winner.evaluated == reference.evaluated
+
+
 def zoo_problems(accel):
     """Search problems with repeats: mobilenet_v1 layers at every tops
     the I and O hierarchies allow (some infeasible)."""
@@ -248,6 +300,46 @@ class TestSolve:
         assert len(solved[3]) < len(plain[3])
         assert max(solved[3]) <= loma.GROUP_ROWS
         assert not solved[4]._solved  # every held winner was taken
+
+    def test_kernel_rows_are_the_problems_own_rows(self):
+        """What perfbench's ``mapping.orderings`` counts (``len`` of each
+        kernel call's rows) is the number of orderings the misses have:
+        the searches' own ``evaluated`` counts, all orderings being
+        feasible at full tops.  solve passes the memoized row sets as they
+        are; the same rows as plain lists count the same."""
+        accel = get_accelerator("meta_proto_like_df")
+        tops = {op: accel.top_level_index(op) for op in "WIO"}
+        layers = get_workload("mobilenet_v1").layers()[:5]
+        problems = [(layer, tops) for layer in layers + layers[1:3]]
+        engine = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=40))
+        calls = []
+        score = loma.evaluate_candidates
+
+        def spy(*args):
+            calls.append(args[3])
+            return score(*args)
+
+        loma.evaluate_candidates = spy
+        try:
+            keys = engine.solve(accel, problems)
+        finally:
+            loma.evaluate_candidates = score
+        evaluated = {
+            key: engine.search(layer, accel, tops, key=key).evaluated
+            for (layer, tops), key in zip(problems, keys)
+        }
+        assert len(evaluated) == len(layers)
+        assert sum(len(rows) for rows in calls) == sum(evaluated.values())
+        sets = [rows for call in calls for rows in call.sets]
+        assert sorted(len(rows.rows) for rows in sets) == sorted(evaluated.values())
+        for layer in layers:
+            assert any(engine._candidate_rows(layer, accel)[1] is s for s in sets)
+        for call in calls:
+            plain = CandidateRows(
+                call.tables, [row for rows in call.sets for row in rows], call.counts
+            )
+            assert len(plain) == len(call) == sum(map(len, call.sets))
+            assert plain.counts == call.counts
 
     def test_scalar_engine_and_warm_cache_score_nothing_ahead(self):
         accel = get_accelerator("meta_proto_like_df")
