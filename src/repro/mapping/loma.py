@@ -19,7 +19,8 @@ Candidates are integer rows over a problem's sorted distinct loops
 (:class:`~repro.mapping.batch.CandidateRows`).  They depend only on the
 loops' multiplicity pattern, the canonical rows and the budget, so each
 such triple has one memoized :class:`~repro.mapping.batch.RowSet`, which
-keeps the prefix index the batch kernel builds for it.
+keeps the prefix index the batch kernel builds for it; the permutation
+rows are memoized per pattern and shared by its row sets.
 :meth:`~MappingSearchEngine.solve` scores many problems' cache misses in
 grouped kernel calls ahead of their searches, and
 :meth:`~MappingSearchEngine.search_all` runs both for a depth-first
@@ -142,19 +143,27 @@ def _canonical_orderings(loops: list[Loop]) -> list[tuple[Loop, ...]]:
 
 
 @functools.lru_cache(maxsize=256)
+def _permutation_rows(pattern: tuple[int, ...], limit: int) -> tuple:
+    """The first ``limit`` lexicographic permutations of the multiset
+    holding symbol ``s`` ``pattern[s]`` times.  Every loop multiset with
+    this multiplicity pattern enumerates in this order, so one memo
+    entry serves all of them, and the row sets of a pattern share its
+    row tuples."""
+    symbols = [s for s, times in enumerate(pattern) for _ in range(times)]
+    return tuple(itertools.islice(multiset_permutations(symbols), limit))
+
+
+@functools.lru_cache(maxsize=256)
 def _row_set(
     pattern: tuple[int, ...], canonical: tuple[tuple[int, ...], ...], budget: int
 ) -> RowSet:
     """The candidate rows of every problem with this multiplicity
     pattern and these canonical rows: the canonical dataflows, then the
-    first lexicographic permutations of the multiset holding symbol
-    ``s`` ``pattern[s]`` times, up to ``budget`` rows and skipping the
+    first lexicographic permutations up to ``budget`` rows, skipping the
     canonical ones.  The rows depend on nothing else, so one entry (and
     its prefix index, once the kernel builds it) serves all of them."""
-    symbols = [s for s, times in enumerate(pattern) for _ in range(times)]
-    limit = max(budget - len(canonical), 0)
     seen = set(canonical)
-    permutations = itertools.islice(multiset_permutations(symbols), limit)
+    permutations = _permutation_rows(pattern, max(budget - len(canonical), 0))
     return RowSet(canonical + tuple(row for row in permutations if row not in seen))
 
 

@@ -103,6 +103,16 @@ class TestRowSetMemo:
         assert all(Counter(row) == Counter(canonical[0]) for row in rows)
         assert loma._row_set.cache_info().maxsize == 256
 
+    def test_row_sets_of_one_pattern_share_their_row_tuples(self):
+        """Two canonical-row lists of one length over one pattern: two
+        row sets, whose permutation rows are the same tuple objects."""
+        pattern = (1, 1, 2)
+        first = loma._row_set(pattern, ((0, 1, 2, 2), (2, 2, 1, 0)), 12)
+        second = loma._row_set(pattern, ((2, 0, 1, 2), (1, 2, 2, 0)), 12)
+        assert first is not second
+        shared = set(map(id, first.rows[2:])) & set(map(id, second.rows[2:]))
+        assert len(shared) == 7  # ten permutations, three of them canonical
+
     def test_rebuilt_after_eviction_gives_equal_index_and_rows(self):
         engine, layer, accel = self.problem()
         _, rows = engine._candidate_rows(layer, accel)
