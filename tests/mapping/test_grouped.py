@@ -191,8 +191,7 @@ class TestSharedRowSets:
         factors and parameters differ, scored in one call: each gets the
         outcome it gets alone and the scalar engine's search result."""
         accel = get_accelerator("meta_proto_like_df")
-        config = SearchConfig(lpf_limit=5, budget=60)
-        engine = MappingSearchEngine(config)
+        engine = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=60))
         layers = [
             LayerSpec(name="a", k=32 * 6, c=2 * 15, ox=4, oy=4),
             LayerSpec(name="b", k=32 * 10, c=2 * 21, ox=4, oy=4, sx=2, sy=2,
