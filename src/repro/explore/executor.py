@@ -26,7 +26,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .. import obs
+from .. import collector, obs
 from ..core.backcalc import AxisMemo
 from ..core.results import ScheduleResult, StackResult
 from ..core.scheduler import DepthFirstEngine
@@ -217,7 +217,9 @@ class Executor:
     # ------------------------------------------------------------------
     def run(self, spec: "SweepSpec | Iterable[EvalJob]") -> list[EvalResult]:
         """Evaluate every job; results are returned in job order and are
-        identical whichever backend ran them."""
+        identical whichever backend ran them.  The cyclic garbage
+        collector is paused for the batch (:func:`repro.collector.paused`):
+        evaluations leave no cyclic garbage (DESIGN.md §5.6)."""
         jobs = list(spec.jobs if isinstance(spec, SweepSpec) else spec)
         if not jobs:
             return []
@@ -225,10 +227,11 @@ class Executor:
         if backend is None:
             backend = "serial" if self.jobs == 1 or len(jobs) == 1 else "service"
         with obs.span("executor.run", backend=backend, jobs=len(jobs)):
-            if backend == "service":
-                results = self._run_service(jobs)
-            else:
-                results = self._run_serial(jobs)
+            with collector.paused():
+                if backend == "service":
+                    results = self._run_service(jobs)
+                else:
+                    results = self._run_serial(jobs)
         if obs.enabled:
             obs.metrics().counter(
                 "executor_jobs_total", backend=backend

@@ -31,7 +31,10 @@ the same scan over operand-irrelevant loop runs.  Candidates whose
 multiset does not fit the truncated hierarchy are *masked out* in
 :attr:`BatchEvaluation.feasible` instead of raising per ordering.  Each
 problem's outcome comes from its own rows only, so a group member gets
-exactly what scoring it alone gives.
+exactly what scoring it alone gives.  Given the search's named
+objective, a call scores all its rows at once and picks every
+problem's winner with one segmented first-argmin and one gather of the
+winning rows, building no evaluation per problem.
 
 **Bit-identity contract.**  Every float the scalar path produces is
 reproduced exactly: array expressions mirror the scalar expressions
@@ -199,11 +202,11 @@ class CandidateRows:
         permute the first one's loop multiset."""
         if not candidates:
             raise ValueError("no candidate orderings to evaluate")
-        table = tuple(sorted(set(candidates[0])))
-        index = {loop: symbol for symbol, loop in enumerate(table)}
-        n = len(candidates[0])
-        if any(len(c) != n or not index.keys() >= set(c) for c in candidates):
+        multiset = sorted(candidates[0])
+        if any(sorted(c) != multiset for c in candidates[1:]):
             raise ValueError("candidates must be permutations of one loop multiset")
+        table = tuple(sorted(set(multiset)))
+        index = {loop: symbol for symbol, loop in enumerate(table)}
         rows = [tuple(index[loop] for loop in c) for c in candidates]
         return cls((table,), rows, (len(rows),))
 
@@ -306,17 +309,11 @@ class BatchEvaluation:
         callables fall back to materializing each candidate's cost.
         """
         if isinstance(objective, str) and objective in _SCORERS:
-            raw = _SCORERS[objective](self)
-        else:
-            fn = resolve_objective(objective)
-            raw = np.array(
-                [fn(self.cost_result(i)) for i in range(self.count)],
-                dtype=np.float64,
-            )
-        arr = np.asarray(raw, dtype=np.float64)
-        if arr.ndim == 0:  # e.g. zero DRAM traffic under truncated tops
-            arr = np.full(self.count, float(arr))
-        return arr
+            return _named_scores(self, objective, self.count)
+        fn = resolve_objective(objective)
+        return np.array(
+            [fn(self.cost_result(i)) for i in range(self.count)], dtype=np.float64
+        )
 
     def best_index(self, objective) -> int | None:
         """Index of the winning feasible candidate, or ``None``.
@@ -387,6 +384,45 @@ _SCORERS: dict[str, Callable[[BatchEvaluation], object]] = {
 }
 
 
+def _named_scores(rows, objective: str, count: int) -> "np.ndarray":
+    """The ``(count,)`` float64 scores of a named objective over
+    ``rows``: an evaluation, or anything holding the same ``traffic``,
+    ``latency`` and ``mac_energy_pj`` (one value, or one per row)."""
+    arr = np.asarray(_SCORERS[objective](rows), dtype=np.float64)
+    if arr.ndim == 0:  # e.g. zero DRAM traffic under truncated tops
+        arr = np.full(count, float(arr))
+    return arr
+
+
+def _first_argmin(scores: "np.ndarray", starts: "np.ndarray", segment) -> "np.ndarray":
+    """Each segment's winning row: segment ``j`` holds the rows from
+    ``starts[j]`` to the next start, and ``segment`` names each row's
+    segment.  :meth:`BatchEvaluation.best_index`'s rule per segment, for
+    segments whose rows are all feasible: the first of the lowest
+    scores, unless the segment's first score is NaN, which wins (no
+    score is smaller than NaN); a later NaN never wins."""
+    nan = np.isnan(scores)
+    key = np.where(nan, np.inf, scores)
+    lowest = np.flatnonzero(key == np.minimum.reduceat(key, starts)[segment])
+    # Every segment holds its minimum, so the first lowest row at or
+    # after a segment's start lies inside it.
+    first = lowest[np.searchsorted(lowest, starts)]
+    return np.where(nan[starts], starts, first)
+
+
+def _winner(evaluation: BatchEvaluation, objective):
+    """The best feasible candidate of an evaluation, materialized as
+    ``(mapping, cost, evaluated)``, or ``None``."""
+    index = evaluation.best_index(objective)
+    if index is None:
+        return None
+    return (
+        evaluation.mapping(index),
+        evaluation.cost_result(index),
+        evaluation.evaluated,
+    )
+
+
 # ----------------------------------------------------------------------
 # Builder
 # ----------------------------------------------------------------------
@@ -404,7 +440,9 @@ _OPERAND_BITS = {"W": "w_bits", "I": "act_bits", "O": "act_bits"}
 _RESIDENT_BITS = {"W": "w_bits", "I": "act_bits", "O": "psum_bits"}
 
 
-def evaluate_candidates(layer, accel: Accelerator, tops: Mapping[str, int], candidates):
+def evaluate_candidates(
+    layer, accel: Accelerator, tops: Mapping[str, int], candidates, objective=None
+):
     """Allocate and score candidate orderings in array operations.
 
     The plain call scores one search problem: ``layer`` is a
@@ -422,16 +460,35 @@ def evaluate_candidates(layer, accel: Accelerator, tops: Mapping[str, int], cand
     problem, in order: the :class:`BatchEvaluation` or the
     :class:`BatchFallback` the plain call would give that problem alone.
 
+    Given an ``objective``, either call returns each problem's winner
+    in place of its evaluation: ``(mapping, cost, evaluated)`` as
+    :meth:`BatchEvaluation.best_index`, :meth:`~BatchEvaluation.mapping`
+    and :meth:`~BatchEvaluation.cost_result` give it, or ``None`` when no
+    ordering is feasible.  A named objective picks every problem's
+    winner in one pass over the call's rows, without an evaluation per
+    problem; a callable one scores each materialized candidate.
+
     Both raise ``RuntimeError`` when numpy is unavailable.
     """
     _require_numpy()
-    if isinstance(layer, LayerSpec):
-        rows = CandidateRows.from_orderings(list(candidates))
-        (outcome,) = _score_group((layer,), accel, tops, rows)
-        if isinstance(outcome, BatchFallback):
-            raise outcome
-        return outcome
-    return _score_group(tuple(layer), accel, tops, candidates)
+    single = isinstance(layer, LayerSpec)
+    if single:
+        layers, rows = (layer,), CandidateRows.from_orderings(list(candidates))
+    else:
+        layers, rows = tuple(layer), candidates
+    named = isinstance(objective, str) and objective in _SCORERS
+    outcomes = _score_group(layers, accel, tops, rows, objective if named else None)
+    if objective is not None and not named:
+        outcomes = [
+            _winner(o, objective) if isinstance(o, BatchEvaluation) else o
+            for o in outcomes
+        ]
+    if not single:
+        return outcomes
+    (outcome,) = outcomes
+    if isinstance(outcome, BatchFallback):
+        raise outcome
+    return outcome
 
 
 def _parameters(
@@ -477,9 +534,12 @@ def _score_group(
     accel: Accelerator,
     tops: Mapping[str, int],
     cands: CandidateRows,
+    objective: str | None = None,
 ) -> list:
     """The grouped kernel behind :func:`evaluate_candidates`: one outcome
-    per problem, each from that problem's own rows and nodes."""
+    per problem, each from that problem's own rows and nodes.  Without
+    ``objective`` a problem's outcome is its evaluation; with a named
+    one, its winner or ``None``."""
     if len(layers) != len(cands.sets):
         raise ValueError("candidate rows must hold one problem per layer")
     if not layers or 0 in cands.counts:
@@ -513,12 +573,18 @@ def _score_group(
         0 <= tops.get(op, len(accel.hierarchy(op)) - 1) < len(accel.hierarchy(op))
         for op in operands
     )
+
+    def no_winner(p: int, total_iter: int):
+        """Problem ``p`` has no feasible ordering."""
+        if objective is not None:
+            return None
+        return _infeasible(
+            layers[p], accel, tops, cands.tables[p], cands.sets[p].rows, total_iter
+        )
+
     if not in_range:  # reserve_top_levels raises for every problem
         for p, row in zip(live, params):
-            outcomes[p] = _infeasible(
-                layers[p], accel, tops, cands.tables[p], cands.sets[p].rows,
-                row[_TOTAL],
-            )
+            outcomes[p] = no_winner(p, row[_TOTAL])
     if not live or not in_range:
         return outcomes
 
@@ -773,33 +839,65 @@ def _score_group(
     # reservation first, then the crossing-count guard.
     first_rows = np.cumsum([0] + counts[:-1])
     beyond = np.logical_or.reduceat(beyond, first_rows)
-    traffic_arrays = {key: tuple(arrays) for key, arrays in traffic.items()}
+    scored: list[int] = []  # positions in `live` of the problems scored
     for j, p in enumerate(live):
-        layer, count = layers[p], counts[j]
-        member_rows = cands.sets[p].rows
         if infeasible[first_rows[j]]:
-            outcomes[p] = _infeasible(
-                layer, accel, tops, cands.tables[p], member_rows, params[j][_TOTAL]
-            )
+            outcomes[p] = no_winner(p, params[j][_TOTAL])
         elif beyond[j]:
             outcomes[p] = BatchFallback(
-                f"{layer.name}: crossings beyond exact float64"
+                f"{layers[p].name}: crossings beyond exact float64"
             )
         else:
-            own = slice(int(first_rows[j]), int(first_rows[j]) + count)
+            scored.append(j)
+    traffic_arrays = {key: tuple(arrays) for key, arrays in traffic.items()}
+    mac_energy = [layers[p].mac_count * accel.mac_energy_pj for p in live]
+    if objective is None:
+        for j in scored:
+            p, own = live[j], slice(int(first_rows[j]), int(first_rows[j]) + counts[j])
             outcomes[p] = BatchEvaluation(
-                layer, accel, tops, cands.tables[p], member_rows,
-                feasible=np.ones(count, dtype=bool),
+                layers[p], accel, tops, cands.tables[p], cands.sets[p].rows,
+                feasible=np.ones(counts[j], dtype=bool),
                 boundaries={op: b[own] for op, b in boundaries.items()},
                 latency=latency[own],
                 traffic={
                     key: (reads[own], writes[own], energy[own])
                     for key, (reads, writes, energy) in traffic_arrays.items()
                 },
-                mac_count=layer.mac_count,
-                mac_energy_pj=layer.mac_count * accel.mac_energy_pj,
+                mac_count=layers[p].mac_count,
+                mac_energy_pj=mac_energy[j],
                 compute_cycles=params[j][_TOTAL],
             )
+        return outcomes
+
+    # The winners: every row scored at once (``mac_energy_pj`` per row),
+    # each problem's first-argmin, then one gather of the winning rows,
+    # materialized as ``BatchEvaluation.mapping``/``cost_result`` would.
+    every_row = SimpleNamespace(
+        traffic=traffic_arrays,
+        latency=latency,
+        mac_energy_pj=np.array(mac_energy)[pid],
+    )
+    scores = _named_scores(every_row, objective, count)
+    win = _first_argmin(scores, first_rows, pid)[scored]
+    win_latency = latency[win].tolist()
+    win_traffic = {
+        key: tuple(array[win].tolist() for array in arrays)
+        for key, arrays in traffic_arrays.items()
+    }
+    win_bounds = {op: b[win].tolist() for op, b in boundaries.items()}
+    for k, j in enumerate(scored):
+        p = live[j]
+        table = cands.tables[p]
+        row = cands.sets[p].rows[win[k] - first_rows[j]]
+        mapping = TemporalMapping(
+            loops=tuple(table[symbol] for symbol in row),
+            boundaries={op: tuple(bounds[k]) for op, bounds in win_bounds.items()},
+        )
+        cost = CostResult.from_arrays(
+            k, layers[p].mac_count, mac_energy[j], params[j][_TOTAL],
+            win_latency, win_traffic,
+        )
+        outcomes[p] = (mapping, cost, counts[j])
     return outcomes
 
 

@@ -20,7 +20,6 @@ logical key is stable across processes and runs.
 from __future__ import annotations
 
 import contextlib
-import gc
 import json
 import os
 import time
@@ -28,7 +27,7 @@ import warnings
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping
 
-from .. import obs
+from .. import collector, obs
 
 try:
     import fcntl
@@ -106,47 +105,47 @@ def _decode_file(source: Path) -> tuple[dict[str, SearchResult], dict]:
     :meth:`MappingCache.load`, the merge read of :meth:`MappingCache.save`
     and :func:`cache_file_info` all call it.
 
-    The cyclic garbage collector is paused while it runs and restored
-    to its previous state on every exit.  Parsing and decoding allocate
+    The cyclic garbage collector is paused while it runs
+    (:func:`repro.collector.paused`).  Parsing and decoding allocate
     about ten tracked objects per entry and free none of them, so the
     collections they trigger find nothing; on a 3,242-entry file they
-    took about half of the load (DESIGN.md §5.6).  The parse tree is
-    not returned, so it is freed before the collector next runs.
+    took about half of the load (DESIGN.md §5.6).  The parse tree lives
+    only in :func:`_parse_file`'s frame, so it is freed before the
+    collector resumes.
     """
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
+    with collector.paused():
+        return _parse_file(source)
+
+
+def _parse_file(source: Path) -> tuple[dict[str, SearchResult], dict]:
+    """:func:`_decode_file`'s work, with the collector paused."""
     try:
-        try:
-            payload = json.loads(source.read_text())
-        except (OSError, ValueError) as exc:  # unreadable, not text, not JSON
-            raise _UnusableFile(
-                "corrupt", f"{source}: not a mapping-cache file: {exc}"
-            ) from exc
-        if not isinstance(payload, dict) or payload.get("format") != FORMAT_VERSION:
-            version = payload.get("format") if isinstance(payload, dict) else None
-            raise _UnusableFile(
-                "stale-version",
-                f"{source}: unsupported mapping-cache format "
-                f"{version!r} (expected {FORMAT_VERSION})",
-                payload,
-            )
-        try:
-            entries = {
-                key: decode_search_result(data)
-                for key, data in payload["entries"].items()
-            }
-        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
-            raise _UnusableFile(
-                "malformed-entries",
-                f"{source}: malformed mapping-cache entry: {exc!r}",
-                payload,
-            ) from exc
-        stats = payload.get("stats")
-        return entries, stats if isinstance(stats, dict) else {}
-    finally:
-        if paused:
-            gc.enable()
+        payload = json.loads(source.read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not text, not JSON
+        raise _UnusableFile(
+            "corrupt", f"{source}: not a mapping-cache file: {exc}"
+        ) from exc
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_VERSION:
+        version = payload.get("format") if isinstance(payload, dict) else None
+        raise _UnusableFile(
+            "stale-version",
+            f"{source}: unsupported mapping-cache format "
+            f"{version!r} (expected {FORMAT_VERSION})",
+            payload,
+        )
+    try:
+        entries = {
+            key: decode_search_result(data)
+            for key, data in payload["entries"].items()
+        }
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise _UnusableFile(
+            "malformed-entries",
+            f"{source}: malformed mapping-cache entry: {exc!r}",
+            payload,
+        ) from exc
+    stats = payload.get("stats")
+    return entries, stats if isinstance(stats, dict) else {}
 
 
 @contextlib.contextmanager

@@ -172,7 +172,11 @@ def _row_set(
 _KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-@functools.lru_cache(maxsize=1024)
+# A cold zoo sweep looks up 1,551 distinct temporal loop sizes and the
+# genetic scenario DSE 2,053, so a bound of 1,024 recomputed 17 and 145
+# decompositions after eviction; this bound holds either run's with room
+# (about 1.3 KB an entry).
+@functools.lru_cache(maxsize=4096)
 def _loop_rows(sizes: tuple, lpf_limit: int) -> tuple:
     """The LPF decomposition of temporal loop ``sizes`` (``(dim, size)``
     pairs) as ``(table, pattern, canonical)``: the sorted distinct loops,
@@ -217,18 +221,6 @@ def raised_tops(
     if tops.get("I") != i_top:
         attempts.append({**tops, "I": i_top, "O": o_top})
     return attempts
-
-
-def _winner(evaluation, objective: str | Objective) -> SearchResult | None:
-    """The best feasible candidate of a batch evaluation, materialized."""
-    winner = evaluation.best_index(objective)
-    if winner is None:
-        return None
-    return SearchResult(
-        mapping=evaluation.mapping(winner),
-        cost=evaluation.cost_result(winner),
-        evaluated=evaluation.evaluated,
-    )
 
 
 def _chunks(members: list) -> list[list]:
@@ -382,16 +374,17 @@ class MappingSearchEngine:
         objective: str | Objective,
     ) -> list[tuple[SearchResult | None, str, bool]]:
         """Score problems ``(layer, table, rows)`` that share a kernel
-        signature in one call: ``(winner, engine, fell_back)`` each.  A
-        problem the kernel cannot score exactly runs on the scalar
-        engine, as it would alone."""
+        signature in one call, which picks each one's winner:
+        ``(winner, engine, fell_back)`` each.  A problem the kernel
+        cannot score exactly runs on the scalar engine, as it would
+        alone."""
         rows = CandidateRows.from_sets(
             [table for _, table, _ in members],
             [member_rows for *_, member_rows in members],
         )
         try:
             outcomes = evaluate_candidates(
-                [layer for layer, _, _ in members], accel, tops, rows
+                [layer for layer, _, _ in members], accel, tops, rows, objective
             )
         except BatchFallback as exc:
             outcomes = [exc] * len(members)
@@ -402,7 +395,7 @@ class MappingSearchEngine:
                 True,
             )
             if isinstance(outcome, BatchFallback)
-            else (_winner(outcome, objective), "batch", False)
+            else (None if outcome is None else SearchResult(*outcome), "batch", False)
             for (layer, table, member_rows), outcome in zip(members, outcomes)
         ]
 
@@ -482,30 +475,38 @@ class MappingSearchEngine:
         way out, also when a search raises.
         """
         keys = self.solve(accel, problems, keys)
-        found = []
         try:
-            for (layer, tops), key in zip(problems, keys):
-                try:
-                    found.append(self.search(layer, accel, tops, key=key))
-                    continue
-                except AllocationError as exc:
-                    error = exc
-                for attempt in raised_tops(accel, tops):
-                    try:
-                        found.append(self.search(layer, accel, attempt))
-                        break
-                    except AllocationError as exc:
-                        error = exc
-                else:
-                    raise AllocationError(
-                        f"{layer.name}: no feasible mapping even with DRAM tops"
-                    ) from error
-                # The error's traceback holds this frame: keeping it
-                # would pin the frame, and the caller's, in a cycle.
-                del error
+            return [
+                self._search_raised(layer, accel, tops, key)
+                for (layer, tops), key in zip(problems, keys)
+            ]
         finally:
             self._solved.clear()
-        return found
+
+    def _search_raised(
+        self,
+        layer: LayerSpec,
+        accel: Accelerator,
+        tops: Mapping[str, int],
+        key: str | None,
+    ) -> SearchResult:
+        """:meth:`search` at ``tops``, then at each of its
+        :func:`raised_tops` in turn while none is feasible."""
+        attempts = None
+        while True:
+            try:
+                return self.search(layer, accel, tops, key=key)
+            except AllocationError as exc:
+                # Raised inside the handler, which unbinds ``exc`` on the
+                # way out: a local holding the error would pin this frame
+                # (and its caller's) in a cycle through the traceback.
+                if attempts is None:
+                    attempts = iter(raised_tops(accel, tops))
+                tops, key = next(attempts, None), None
+                if tops is None:
+                    raise AllocationError(
+                        f"{layer.name}: no feasible mapping even with DRAM tops"
+                    ) from exc
 
     def _solve_grouped(
         self,

@@ -35,7 +35,7 @@ import time
 import traceback
 from typing import TYPE_CHECKING, Sequence
 
-from .. import obs
+from .. import collector, obs
 from ..mapping.cache import MappingCache
 from .cache_server import CacheClient
 
@@ -100,7 +100,10 @@ def _service_worker_main(
     # Objects inherited through fork belong to the parent: never collect
     # them here, or an executor the parent dropped in a reference cycle
     # would run its finalizer — and stop its service — in this shard.
+    # A shard forked inside a paused batch inherits the pause: collect
+    # between jobs, and pause around each one (DESIGN.md §5.6).
     gc.freeze()
+    gc.enable()
     obs.worker_begin(obs_enabled)
     if isinstance(cache_source, dict):
         cache = MappingCache()
@@ -119,7 +122,8 @@ def _service_worker_main(
             hits, misses = cache.hits, cache.misses
             result = error = None
             try:
-                result = runner.evaluate(job)
+                with collector.paused():
+                    result = runner.evaluate(job)
             except Exception as exc:  # noqa: BLE001 - shipped to the parent
                 detail = "".join(traceback.format_exception_only(exc)).strip()
                 error = f"shard {shard_index}: {detail}"

@@ -21,10 +21,11 @@ from repro.mapping.batch import (
     BatchEvaluation,
     BatchFallback,
     CandidateRows,
+    _winner,
     evaluate_candidates,
 )
 from repro.mapping.cache import encode_search_result
-from repro.mapping.loma import MappingSearchEngine, SearchConfig, _winner
+from repro.mapping.loma import MappingSearchEngine, SearchConfig, SearchResult
 from repro.workloads.layer import LayerSpec, OpType
 from repro.workloads.zoo import get_workload
 
@@ -81,23 +82,30 @@ class TestBestIndex:
 
 
 def outcome_fields(outcome):
-    """What a search takes from one problem's outcome."""
+    """What a search takes from one problem's outcome: an evaluation's
+    energy winner (``best_index``), or the winner a grouped call with
+    the energy objective picked."""
     if isinstance(outcome, BatchFallback):
         return "fallback"
-    winner = _winner(outcome, "energy")
-    if winner is None:
-        return ("infeasible", outcome.count)
+    if isinstance(outcome, BatchEvaluation):
+        outcome = _winner(outcome, "energy")
+    if outcome is None:
+        return "infeasible"
+    winner = SearchResult(*outcome)
     return encode_search_result(winner), winner.evaluated
 
 
 def score_alone_and_grouped(members, accel, tops):
-    """Each member's outcome alone and as part of one grouped call."""
+    """Each member's outcome alone (its evaluation) and as part of one
+    grouped call (its winner)."""
     rows = CandidateRows(
         [table for _, table, _ in members],
         [row for _, _, member_rows in members for row in member_rows],
         [len(member_rows) for _, _, member_rows in members],
     )
-    grouped = evaluate_candidates([layer for layer, _, _ in members], accel, tops, rows)
+    grouped = evaluate_candidates(
+        [layer for layer, _, _ in members], accel, tops, rows, "energy"
+    )
     alone = [
         evaluate_candidates(
             (layer,), accel, tops, CandidateRows((table,), member_rows, (len(member_rows),))
@@ -136,10 +144,7 @@ class TestGroupEqualsSingles:
                 members, accel, dict(signature[0])
             )
             assert grouped == alone
-            kinds.update(
-                "infeasible" if isinstance(o, tuple) and o[0] == "infeasible" else "ok"
-                for o in alone
-            )
+            kinds.update("infeasible" if o == "infeasible" else "ok" for o in alone)
         assert kinds == {"ok", "infeasible"}
 
     def test_mixed_outcomes_stay_with_their_problem(self):
@@ -162,7 +167,7 @@ class TestGroupEqualsSingles:
         assert alone[0][1] == 2
         single = evaluate_candidates(fits, accel, tops, [(("C", 2), ("K", 2)), (("K", 2), ("C", 2))])
         assert single.candidates == [(("C", 2), ("K", 2)), (("K", 2), ("C", 2))]
-        assert alone[1] == ("infeasible", 2)
+        assert alone[1] == "infeasible"
         assert alone[2] == "fallback"
 
     def test_out_of_range_tops_are_infeasible(self):
@@ -213,6 +218,7 @@ class TestSharedRowSets:
                     [table for _, table, _ in members],
                     [rows for _, _, rows in members],
                 ),
+                "energy",
             )
             alone = [
                 evaluate_candidates(
@@ -227,8 +233,8 @@ class TestSharedRowSets:
                 SearchConfig(lpf_limit=5, budget=60, engine="scalar")
             )
             for layer, outcome in zip(layers, grouped):
-                winner = _winner(outcome, "energy")
-                assert winner is not None
+                assert outcome is not None
+                winner = SearchResult(*outcome)
                 reference = scalar.search(layer, accel, tops)
                 assert encode_search_result(winner) == encode_search_result(
                     reference

@@ -15,9 +15,10 @@ from hypothesis import example, given, strategies as st
 
 from repro.hardware.zoo import get_accelerator
 from repro.mapping import loma
-from repro.mapping.batch import CandidateRows, RowSet
+from repro.mapping.batch import CandidateRows, RowSet, evaluate_candidates
 from repro.mapping.loma import MappingSearchEngine, SearchConfig
 from repro.mapping.temporal import temporal_sizes
+from repro.workloads.layer import LayerSpec
 from repro.workloads.zoo import get_workload
 
 
@@ -79,6 +80,29 @@ def test_plain_lists_build_row_sets_on_the_spot():
     assert rows.counts == (2, 1) and len(rows) == 3
     with pytest.raises(ValueError, match="one problem per layer"):
         CandidateRows([table], [(0, 1)], [2])
+
+
+@pytest.mark.parametrize(
+    "orderings",
+    [
+        [(("C", 2), ("K", 2)), (("C", 2), ("C", 2))],  # same loops, other counts
+        [(("C", 2), ("K", 2)), (("K", 2),)],  # fewer loops
+        [(("C", 2), ("K", 2)), (("C", 2), ("K", 4))],  # a loop of no other row
+    ],
+)
+def test_orderings_must_permute_the_first_ones_multiset(orderings):
+    """The plain call's orderings permute one loop multiset: a row with
+    the first one's length and loops but other counts names another
+    problem, whose loop total the kernel would not see."""
+    accel = get_accelerator("meta_proto_like_df")
+    tops = {op: accel.top_level_index(op) for op in "WIO"}
+    layer = LayerSpec(name="x", k=64, c=64)
+    match = "permutations of one loop multiset"
+    with pytest.raises(ValueError, match=match):
+        CandidateRows.from_orderings(orderings)
+    with pytest.raises(ValueError, match=match):
+        evaluate_candidates(layer, accel, tops, orderings)
+    assert evaluate_candidates(layer, accel, tops, orderings[:1]).count == 1
 
 
 class TestRowSetMemo:
