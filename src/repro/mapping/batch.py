@@ -319,18 +319,15 @@ class BatchEvaluation:
         """Index of the winning feasible candidate, or ``None``.
 
         A masked first-argmin that returns what the scalar scan ("first
-        strictly smaller score wins") returns: ties keep the earliest
-        candidate, a NaN score in the first feasible position wins (no
-        score is smaller than NaN) and a later NaN never wins.
+        strictly smaller score wins") returns: :func:`_first_argmin`
+        over the feasible candidates as one segment.
         """
         feasible = np.flatnonzero(self.feasible)
         if not feasible.size:
             return None
-        s = self.scores(objective)[feasible]
-        nan = np.isnan(s)
-        if nan[0]:
-            return int(feasible[0])
-        return int(feasible[np.argmin(np.where(nan, np.inf, s))])
+        one = np.zeros(feasible.size, dtype=np.intp)  # every row in segment 0
+        (best,) = _first_argmin(self.scores(objective)[feasible], one[:1], one)
+        return int(feasible[best])
 
 
 # ----------------------------------------------------------------------
@@ -397,10 +394,10 @@ def _named_scores(rows, objective: str, count: int) -> "np.ndarray":
 def _first_argmin(scores: "np.ndarray", starts: "np.ndarray", segment) -> "np.ndarray":
     """Each segment's winning row: segment ``j`` holds the rows from
     ``starts[j]`` to the next start, and ``segment`` names each row's
-    segment.  :meth:`BatchEvaluation.best_index`'s rule per segment, for
-    segments whose rows are all feasible: the first of the lowest
-    scores, unless the segment's first score is NaN, which wins (no
-    score is smaller than NaN); a later NaN never wins."""
+    segment.  The scalar scan's rule per segment: the first of the
+    lowest scores (ties keep the earliest row, -0.0 is not below 0.0),
+    unless the segment's first score is NaN, which wins (no score is
+    smaller than NaN); a later NaN never wins."""
     nan = np.isnan(scores)
     key = np.where(nan, np.inf, scores)
     lowest = np.flatnonzero(key == np.minimum.reduceat(key, starts)[segment])

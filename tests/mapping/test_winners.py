@@ -162,7 +162,10 @@ class TestWinnersEqualEvaluations:
     def test_callable_objective_materializes_every_candidate(self, monkeypatch):
         accel, groups = random_groups(test_batch.TestRandomizedParity.SEED, 40)
         tops, members = max(groups, key=lambda group: len(group[1]))
-        objective = lambda cost: cost.latency_cycles + 0.25 * cost.energy_pj  # noqa: E731
+
+        def objective(cost):
+            return cost.latency_cycles + 0.25 * cost.energy_pj
+
         expected = grouped_and_alone(accel, tops, members, objective)[1]
         materialized = []
         cost_result = BatchEvaluation.cost_result
@@ -199,7 +202,8 @@ class TestWinnerOutcomes:
             (LayerSpec(name="fits", k=64, c=64), (("C", 2), ("K", 2)), rows),
             (LayerSpec(name="big", k=64, c=512, ox=112, oy=112),
              (("C", 256), ("OX", 28)), rows),
-            (LayerSpec(name="huge", k=64, c=64), (("C", 1 << 30), ("K", 1 << 30)), rows),
+            (LayerSpec(name="huge", k=64, c=64),
+             (("C", 1 << 30), ("K", 1 << 30)), rows),
         ]
         cands = CandidateRows(
             [table for _, table, _ in members], rows * 3, [2, 2, 2]
