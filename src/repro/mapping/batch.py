@@ -850,7 +850,8 @@ def _score_group(
     mac_energy = [layers[p].mac_count * accel.mac_energy_pj for p in live]
     if objective is None:
         for j in scored:
-            p, own = live[j], slice(int(first_rows[j]), int(first_rows[j]) + counts[j])
+            p, start = live[j], int(first_rows[j])
+            own = slice(start, start + counts[j])
             outcomes[p] = BatchEvaluation(
                 layers[p], accel, tops, cands.tables[p], cands.sets[p].rows,
                 feasible=np.ones(counts[j], dtype=bool),

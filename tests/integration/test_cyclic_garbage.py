@@ -75,17 +75,22 @@ def test_serial_sweep_leaves_no_cyclic_garbage(monkeypatch):
     assert not held, held
 
 
-def model_garbage():
-    """Collect, and count the model's objects the collection found (by
-    type), under ``DEBUG_SAVEALL``; the found objects are dropped."""
+def drain(counts=is_model_object):
+    """Collect under ``DEBUG_SAVEALL`` and count, by type, the found
+    objects that ``counts`` holds (or that hold one); then free them
+    for real, or the next collection would find them again."""
     gc.collect()
-    held = Counter(
+    found = Counter(
         type(obj).__qualname__
         for obj in gc.garbage
-        if any(map(is_model_object, (obj, *gc.get_referents(obj))))
+        if any(map(counts, (obj, *gc.get_referents(obj))))
     )
     gc.garbage.clear()
-    return held
+    flags = gc.get_debug()
+    gc.set_debug(0)
+    gc.collect()
+    gc.set_debug(flags)
+    return found
 
 
 @pytest.fixture
@@ -121,12 +126,9 @@ def test_dse_generations_leave_no_cyclic_garbage(save_all, monkeypatch):
     run = Executor.run
 
     def probed(self, spec):
-        gc.collect()
-        gc.garbage.clear()  # made before the batch, by the DSE loop
+        drain()  # made before the batch, by the DSE loop
         results = run(self, spec)
-        gc.collect()
-        found.append(Counter(type(obj).__qualname__ for obj in gc.garbage))
-        gc.garbage.clear()
+        found.append(drain(counts=lambda obj: True))
         return results
 
     monkeypatch.setattr(Executor, "run", probed)
@@ -167,7 +169,7 @@ def test_a_job_that_raises_leaves_no_cyclic_garbage(save_all, monkeypatch):
     with pytest.raises(AllocationError, match="no feasible mapping even with DRAM"):
         Executor(search_config=FAST).run(spec)
     assert len(calls) == 2
-    assert not model_garbage()
+    assert not drain()
 
 
 def test_service_jobs_leave_no_cyclic_garbage(save_all, monkeypatch):
@@ -186,7 +188,7 @@ def test_service_jobs_leave_no_cyclic_garbage(save_all, monkeypatch):
 
     def reporting(runner, job):
         gc.set_debug(gc.DEBUG_SAVEALL)  # in the shard
-        left = model_garbage()
+        left = drain()
         current[:] = [job]
         return left, evaluate(runner, job)
 
@@ -200,4 +202,4 @@ def test_service_jobs_leave_no_cyclic_garbage(save_all, monkeypatch):
         reports = [result.result[0] for result in executor.run(after)]
     assert len(reports) == 2  # the failed job's leftovers, then a good one's
     assert not any(reports), reports
-    assert not model_garbage()
+    assert not drain()
