@@ -12,22 +12,29 @@ sizes, spatial use, strides, dilations, input spans, precisions, loop
 total) is a per-row column.  See DESIGN.md §2.2 for the axis-by-axis
 mapping to the §2.1 cost formulas; the layout in brief:
 
-* the row: one candidate ordering of one problem, leading axis of the
-  parameters, boundaries, traffic and latency;
+* the row: one candidate ordering of one problem, the innermost (long)
+  axis of every per-row array.  Tables over a row's loop positions are
+  stored position-major, ``(n, R)`` symbols and dimensions and
+  ``(n+1, R)`` node ids, so each gather, compare and scan along a
+  prefix covers all rows in one numpy loop.  Parameters are ``(k, R)``
+  and boundaries ``(levels, R)``, so every parameter, boundary, traffic
+  and latency line is a contiguous ``(R,)`` array;
 * the node: one distinct loop multiset among a problem's row prefixes.
-  A prefix's cumulative dimension products ``P[u, d]``, factor product
+  A prefix's cumulative dimension products ``P[d, u]``, factor product
   ``PF[u]``, iterations above ``suffix[u]`` and resident footprints do
   not depend on the order of its loops, so they are computed once per
-  node, from its symbol counts.  ``nodes[r, p]`` names the node of row
-  ``r``'s first ``p`` loops (:class:`RowSet`), and every per-row read of
-  a prefix value goes through it;
+  node, from its symbol counts, with the node axis innermost.
+  ``nodes[p, r]`` names the node of row ``r``'s first ``p`` loops
+  (:class:`RowSet`), and every per-row read of a prefix value goes
+  through it;
 * the loop dimension, in :data:`~repro.mapping.temporal.DIMS` order.
 
 The greedy boundary placement of ``allocate`` (walk outwards until the
 level's capacity is exhausted) becomes a prefix scan: a boundary is the
-length of the leading all-true run of ``resident[p] <= available``,
-computed with a boolean cumulative product.  Stationarity credits use
-the same scan over operand-irrelevant loop runs.  Candidates whose
+first position where ``resident[p] <= available`` fails, found with
+``argmin`` down a boolean table padded with a False line.  Stationarity
+credits read each row's first operand-relevant loop at or above its
+boundary from a per-operand ``next_rel`` table.  Candidates whose
 multiset does not fit the truncated hierarchy are *masked out* in
 :attr:`BatchEvaluation.feasible` instead of raising per ordering.  Each
 problem's outcome comes from its own rows only, so a group member gets
@@ -125,11 +132,12 @@ class RowSet:
         return self.rows[index]
 
     def index(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """``(symbols, nodes, counts)``: the ``(R, n)`` symbol array, the
-        ``(R, n+1)`` node id of each row prefix (column ``p`` holds the
-        first ``p`` loops) and each node's ``(U, n)`` symbol counts.  Two
-        prefixes share a node exactly when they hold the same multiset,
-        so node 0 is the empty prefix and column ``n`` is one node."""
+        """``(symbols, nodes, counts)``, position-major: the ``(n, R)``
+        symbol array, the ``(n+1, R)`` node id of each row prefix (line
+        ``p`` holds every row's first ``p`` loops) and each node's
+        ``(n, U)`` symbol counts.  Two prefixes share a node exactly when
+        they hold the same multiset, so node 0 is the empty prefix and
+        line ``n`` is one node."""
         if self._index is None:
             self._index = _prefix_index(self.rows)
         return self._index
@@ -140,21 +148,21 @@ def _prefix_index(rows: Sequence[tuple[int, ...]]):
     counts in mixed radix (digit ``s`` below one more than the most
     copies of ``s`` a row holds), so equal keys are equal multisets."""
     count, n = len(rows), len(rows[0])
-    symbols = np.array(rows, dtype=np.int64).reshape(count, n)
+    symbols = np.array(rows, dtype=np.int64).reshape(count, n).T
     if symbols.size and not 0 <= symbols.min() <= symbols.max() < n:
         raise ValueError("a row must name symbols of its own loops only")
-    most = (symbols[:, :, None] == np.arange(n)).sum(axis=1).max(axis=0, initial=0)
+    most = (symbols[:, :, None] == np.arange(n)).sum(axis=0).max(axis=0, initial=0)
     radix = most + 1
     if math.prod(radix.tolist()) >= 1 << 63:
         raise ValueError("too many distinct loops to index the prefixes")
     weight = np.cumprod(radix) // radix
-    keys = np.zeros((count, n + 1), dtype=np.int64)
-    np.cumsum(weight[symbols], axis=1, out=keys[:, 1:])
+    keys = np.zeros((n + 1, count), dtype=np.int64)
+    np.cumsum(weight[symbols], axis=0, out=keys[1:])
     unique, nodes = np.unique(keys, return_inverse=True)
-    counts = unique[:, None] // weight % radix
+    counts = unique // weight[:, None] % radix[:, None]
     return (
-        symbols.astype(np.min_scalar_type(max(n - 1, 0))),
-        nodes.reshape(count, n + 1).astype(np.min_scalar_type(len(unique) - 1)),
+        symbols.astype(np.min_scalar_type(max(n - 1, 0)), order="C"),
+        nodes.reshape(n + 1, count).astype(np.min_scalar_type(len(unique) - 1)),
         counts.astype(np.min_scalar_type(n)),
     )
 
@@ -586,63 +594,62 @@ def _score_group(
         return outcomes
 
     # ------------------------------------------------------------------
-    # Rows and nodes.  Row r belongs to live problem pid[r]; node u, one
-    # distinct prefix multiset of a problem's rows, to node_pid[u], and
-    # nodes[r, p] is the node of row r's first p loops.  Every problem
-    # has nodes of its own (ids offset past the previous problems'), also
-    # when problems share a row set: node values read the problem's loop
-    # table and parameters.
+    # Rows and nodes, position-major.  Row r belongs to live problem
+    # pid[r]; node u, one distinct prefix multiset of a problem's rows,
+    # to node_pid[u], and nodes[p, r] is the node of row r's first p
+    # loops.  Every problem has nodes of its own (ids offset past the
+    # previous problems'), also when problems share a row set: node
+    # values read the problem's loop table and parameters.
     # ------------------------------------------------------------------
     each_symbols, each_nodes, each_held = zip(
         *(cands.sets[p].index() for p in live)
     )
-    counts = [len(rows) for rows in each_symbols]
-    node_counts = [len(held) for held in each_held]
+    counts = [len(cands.sets[p]) for p in live]
+    node_counts = [held.shape[1] for held in each_held]
     count = sum(counts)
     pid = np.repeat(np.arange(len(live)), counts)
     node_pid = np.repeat(np.arange(len(live)), node_counts)
-    symbols = np.concatenate(each_symbols)
-    nodes = np.concatenate(each_nodes, dtype=np.intp)
-    nodes += np.repeat(np.cumsum([0] + node_counts[:-1]), counts)[:, None]
-    held = np.concatenate(each_held)
+    symbols = np.concatenate(each_symbols, axis=1)
+    nodes = np.concatenate(each_nodes, axis=1, dtype=np.intp)
+    nodes += np.repeat(np.cumsum([0] + node_counts[:-1]), counts)
+    held = np.concatenate(each_held, axis=1)
     # Each problem's symbol table as (dim index, factor), padded to n
-    # symbols with factor-1 loops that no node holds.
+    # symbols with factor-1 loops that no node holds: (n, problems) each.
     padding = (("K", 1),) * n
-    loops = np.array(
+    sym_dim, sym_factor = np.array(
         [
             (DIM_INDEX[dim], factor)
             for p in live
             for dim, factor in (*cands.tables[p], *padding)[:n]
         ],
         dtype=np.int64,
-    ).reshape(len(live), n, 2)
-    sym_dim, sym_factor = loops[:, :, 0], loops[:, :, 1]
-    dims_idx = sym_dim[pid[:, None], symbols]  # (R, n) loop dims per row
+    ).reshape(len(live), n, 2).T
+    dims_idx = sym_dim[symbols, pid]  # (n, R) loop dims per row
 
-    # Node values P[u, d], PF[u] and suffix[u]: a prefix holding `count`
+    # Node values P[d, u], PF[u] and suffix[u]: a prefix holding `count`
     # copies of a loop multiplies its dimension by factor ** count.
-    power = sym_factor[node_pid] ** held
-    in_dim = sym_dim[node_pid][:, :, None] == np.arange(len(DIMS))
-    P = np.where(in_dim, power[:, :, None], 1).prod(axis=1)
-    PF = power.prod(axis=1)
-    problem_param = np.array(params, dtype=np.int64)
-    param, node_param = problem_param[pid], problem_param[node_pid]
-    column = {name: param[:, i] for name, i in _COLUMN.items()}
-    total_iter = param[:, _TOTAL]
+    power = sym_factor[:, node_pid] ** held  # (n, U)
+    in_dim = sym_dim[:, node_pid] == np.arange(len(DIMS))[:, None, None]
+    P = np.where(in_dim, power, 1).prod(axis=1)  # (6, U)
+    PF = power.prod(axis=0)
+    problem_param = np.array(params, dtype=np.int64).T
+    param, node_param = problem_param[:, pid], problem_param[:, node_pid]
+    column = {name: param[i] for name, i in _COLUMN.items()}
+    total_iter = param[_TOTAL]
     iterations = total_iter.astype(np.float64)
-    suffix = node_param[:, _TOTAL] // PF  # exact: PF divides the total product
+    suffix = node_param[_TOTAL] // PF  # exact: PF divides the total product
 
-    sizes = node_param[:, _SIZES]
-    spatial = param[:, _SPATIAL]
+    sizes = node_param[_SIZES]
+    spatial = param[_SPATIAL]
     clamp_plain = np.minimum(P, sizes)
-    clamp_merged = np.minimum(P * node_param[:, _SPATIAL], sizes)
+    clamp_merged = np.minimum(P * node_param[_SPATIAL], sizes)
 
     # The footprint formulas read the geometry of each row (datapath) or
     # node (residency); relevance is shared by the group.
     def geometry(values) -> SimpleNamespace:
         return SimpleNamespace(
             relevant_dims=layers[live[0]].relevant_dims,
-            **{name: values[:, _COLUMN[name]] for name in _PARAMS},
+            **{name: values[_COLUMN[name]] for name in _PARAMS},
         )
 
     node_geometry = geometry(node_param)
@@ -656,15 +663,15 @@ def _score_group(
     # Per-PE levels see no spatial merge; shared levels and the cost
     # model do.  ``full``, the node of each row's whole multiset, holds
     # its full (ordering-independent) footprint.
-    elems_plain = footprints(lambda dim: clamp_plain[:, DIM_INDEX[dim]])
-    elems_merged = footprints(lambda dim: clamp_merged[:, DIM_INDEX[dim]])
-    full = nodes[:, n]
-    flat = np.arange(count) * (n + 1)
+    elems_plain = footprints(lambda dim: clamp_plain[DIM_INDEX[dim]])
+    elems_merged = footprints(lambda dim: clamp_merged[DIM_INDEX[dim]])
+    full = nodes[n]
+    row = np.arange(count)
     node_of = nodes.ravel()
 
     def at(cols):
         """The node of every row r's prefix ``cols[r]``."""
-        return node_of[flat + cols]
+        return node_of[cols * count + row]
 
     # ------------------------------------------------------------------
     # Phase 1: full-footprint reservation of every operand's top level
@@ -686,23 +693,26 @@ def _score_group(
             used[inst.uid] = already + resident
 
     # ------------------------------------------------------------------
-    # Phase 2: greedy boundary placement as prefix scans over each row's
-    # nodes.
+    # Phase 2: greedy boundary placement.  A level's boundary is the
+    # first prefix that no longer fits, scanned along the row axis.
     # ------------------------------------------------------------------
     zeros = np.zeros(count)
-    n_col = np.full(count, n, dtype=np.int64)
-    pos = np.arange(1, n + 1)
-    inner = nodes[:, 1:]
+    n_col = np.full(count, n, dtype=np.intp)
+    pos = np.arange(1, n + 1)[:, None]
+    inner = nodes[1:]
+    # taken[p - 1, r]: row r's first p loops stay below the boundary.
+    # Line n is False, so a row whose every prefix fits stops at n.
+    taken = np.zeros((n + 1, count), dtype=bool)
     boundaries: dict[str, "np.ndarray"] = {}
     for op in PRIORITY:
         if op not in operands:
-            boundaries[op] = n_col[:, None]
+            boundaries[op] = n_col[None]
             continue
         hierarchy = accel.hierarchy(op)
         levels = hierarchy[: tops.get(op, len(hierarchy) - 1) + 1]
-        bits = node_param[:, _COLUMN[_RESIDENT_BITS[op]]]
+        bits = node_param[_COLUMN[_RESIDENT_BITS[op]]]
         cols = []
-        prev = np.zeros(count, dtype=np.int64)
+        prev = np.zeros(count, dtype=np.intp)
         for idx, level in enumerate(levels):
             if idx == len(levels) - 1:
                 cols.append(n_col)
@@ -714,20 +724,20 @@ def _score_group(
             # Greedy walk == length of the leading run of prefixes that
             # still fit (positions at or below the previous boundary
             # count as already taken).
-            fits = resident[inner] <= avail[:, None]
-            taken = fits | (pos[None, :] <= prev[:, None])
-            bound = np.cumprod(taken, axis=1, dtype=np.int64).sum(axis=1)
+            np.less_equal(resident[inner], avail, out=taken[:n])
+            taken[:n] |= pos <= prev
+            bound = taken.argmin(axis=0)
             if not inst.per_pe:
                 used[inst.uid] = used.get(inst.uid, zeros) + np.minimum(
                     resident[at(bound)], avail
                 )
             cols.append(bound)
             prev = bound
-        boundaries[op] = np.stack(cols, axis=1)
+        boundaries[op] = np.stack(cols)
 
     # ------------------------------------------------------------------
-    # Cost model (§2.1), row axis leading everywhere; prefix values are
-    # read from the node of each row's boundary.
+    # Cost model (§2.1), along the row axis; prefix values are read from
+    # the node of each row's boundary.
     # ------------------------------------------------------------------
     traffic: dict[TrafficKey, list] = {}
 
@@ -743,6 +753,11 @@ def _score_group(
     beyond = np.zeros(count, dtype=bool)
     psum_bytes = column["psum_bits"] / 8.0
     rows_geometry = geometry(param)
+    # next_rel[p, r]: row r's first operand-relevant position at or
+    # after p, n when there is none (filled in from line n down).
+    next_rel = np.empty((n + 1, count), dtype=np.intp)
+    next_rel[n] = n
+    positions = np.arange(n)[:, None]
 
     for op in operands:  # W, I, O order: weight-less layers skip W
         hierarchy = accel.hierarchy(op)
@@ -774,20 +789,21 @@ def _score_group(
         final = elems_merged[op][full]
         relevant = rows_geometry.relevant_dims(op)
         rel_tab = np.array([d in relevant for d in DIMS])
-        irrelevant = ~rel_tab[dims_idx]  # (R, n)
+        first_rel = np.where(rel_tab[dims_idx], positions, n)
+        for p in range(n - 1, -1, -1):
+            np.minimum(first_rel[p], next_rel[p + 1], out=next_rel[p])
+        # R(p)·A(p), resident footprint times iterations above, per node.
+        volume = elems_merged[op].astype(np.float64) * suffix.astype(np.float64)
         for levelidx in range(1, len(levels)):
             lower = levels[levelidx - 1]
             upper = levels[levelidx]
-            prefix = boundaries[op][:, levelidx - 1]
+            prefix = boundaries[op][levelidx - 1]
             node = at(prefix)
-            above = suffix[node]
             # Stationarity credit: contiguous irrelevant run above the
             # boundary, as a prefix-product ratio.
-            run_ok = (np.arange(n)[None, :] < prefix[:, None]) | irrelevant
-            run = np.cumprod(run_ok, axis=1, dtype=np.int64).sum(axis=1)
+            run = next_rel.ravel()[prefix * count + row]
             credit = PF[at(run)] // PF[node]
-            resident = elems_merged[op][node]
-            product = resident.astype(np.float64) * above.astype(np.float64)
+            product = volume[node]
             beyond |= product >= _EXACT
             crossings = product / credit
 
@@ -855,7 +871,7 @@ def _score_group(
             outcomes[p] = BatchEvaluation(
                 layers[p], accel, tops, cands.tables[p], cands.sets[p].rows,
                 feasible=np.ones(counts[j], dtype=bool),
-                boundaries={op: b[own] for op, b in boundaries.items()},
+                boundaries={op: b[:, own].T for op, b in boundaries.items()},
                 latency=latency[own],
                 traffic={
                     key: (reads[own], writes[own], energy[own])
@@ -882,7 +898,7 @@ def _score_group(
         key: tuple(array[win].tolist() for array in arrays)
         for key, arrays in traffic_arrays.items()
     }
-    win_bounds = {op: b[win].tolist() for op, b in boundaries.items()}
+    win_bounds = {op: b[:, win].T.tolist() for op, b in boundaries.items()}
     for k, j in enumerate(scored):
         p = live[j]
         table = cands.tables[p]
@@ -917,18 +933,18 @@ def _wave_elems(geometry, op: str, spatial, column) -> "np.ndarray":
     """Per-row operand elements fetched per spatial wave: the array
     mirror of :func:`~repro.mapping.zigzag.spatial_relevant`."""
     relevant = geometry.relevant_dims(op)
-    one = np.ones(len(spatial), dtype=np.int64)
+    one = np.ones(spatial.shape[1], dtype=np.int64)
 
     def get(dim: str):
-        return spatial[:, DIM_INDEX[dim]] if dim in relevant else one
+        return spatial[DIM_INDEX[dim]] if dim in relevant else one
 
     elems = operand_footprint(geometry, op, get, minimum=np.minimum)
     if op != "I":
         return elems.astype(np.float64)
 
     def axis_discount(o_dim, f_dim, stride, full):
-        o_sp = spatial[:, DIM_INDEX[o_dim]]
-        span = np.minimum((o_sp - 1) * stride + spatial[:, DIM_INDEX[f_dim]], full)
+        o_sp = spatial[DIM_INDEX[o_dim]]
+        span = np.minimum((o_sp - 1) * stride + spatial[DIM_INDEX[f_dim]], full)
         advance = np.minimum(o_sp * stride, span)
         return np.where(span != 0, advance / np.where(span != 0, span, 1), 1.0)
 

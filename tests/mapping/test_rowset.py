@@ -2,7 +2,7 @@
 
 The batch kernel computes every order-independent prefix quantity once
 per *node*, one distinct prefix multiset of a problem's rows, and reads
-it back through the ``(R, n+1)`` node-id matrix.  So two prefixes must
+it back through the ``(n+1, R)`` node-id matrix.  So two prefixes must
 share a node exactly when they hold the same loops, and a node's symbol
 counts must be its prefixes' counts.
 """
@@ -43,23 +43,25 @@ def row_lists(draw):
 def test_prefix_index(rows):
     symbols, nodes, counts = RowSet(rows).index()
     n = len(rows[0])
-    assert symbols.shape == (len(rows), n)
-    assert symbols.tolist() == [list(row) for row in rows]
-    assert nodes.shape == (len(rows), n + 1)
-    assert counts.shape == (len(np.unique(nodes)), n) == (int(nodes.max()) + 1, n)
+    # Position-major, so the kernel's scans run along the long row axis.
+    assert symbols.shape == (n, len(rows))
+    assert symbols.T.tolist() == [list(row) for row in rows]
+    assert nodes.shape == (n + 1, len(rows))
+    assert counts.shape == (n, len(np.unique(nodes))) == (n, int(nodes.max()) + 1)
+    assert all(a.flags.c_contiguous for a in (symbols, nodes, counts))
     node_of = {}  # prefix multiset -> node
     for r, row in enumerate(rows):
         for p in range(n + 1):
             multiset = tuple(sorted(row[:p]))
-            node = int(nodes[r, p])
+            node = int(nodes[p, r])
             assert node_of.setdefault(multiset, node) == node
             tally = Counter(row[:p])
-            assert counts[node].tolist() == [tally[s] for s in range(n)]
+            assert counts[:, node].tolist() == [tally[s] for s in range(n)]
     # Equal multisets share a node, and distinct ones never do.
     assert len(set(node_of.values())) == len(node_of)
-    assert set(nodes[:, 0].tolist()) == {node_of[()]}
-    assert not counts[node_of[()]].any()
-    assert len(set(nodes[:, n].tolist())) == 1
+    assert set(nodes[0].tolist()) == {node_of[()]}
+    assert not counts[:, node_of[()]].any()
+    assert len(set(nodes[n].tolist())) == 1
 
 
 def test_prefix_index_dtypes_are_compact():
