@@ -697,7 +697,7 @@ def _score_group(
     # first prefix that no longer fits, scanned along the row axis.
     # ------------------------------------------------------------------
     zeros = np.zeros(count)
-    n_col = np.full(count, n, dtype=np.intp)
+    n_col = np.full(count, n, dtype=np.int64)
     pos = np.arange(1, n + 1)[:, None]
     inner = nodes[1:]
     # taken[p - 1, r]: row r's first p loops stay below the boundary.
@@ -712,7 +712,7 @@ def _score_group(
         levels = hierarchy[: tops.get(op, len(hierarchy) - 1) + 1]
         bits = node_param[_COLUMN[_RESIDENT_BITS[op]]]
         cols = []
-        prev = np.zeros(count, dtype=np.intp)
+        prev = np.zeros(count, dtype=np.int64)
         for idx, level in enumerate(levels):
             if idx == len(levels) - 1:
                 cols.append(n_col)

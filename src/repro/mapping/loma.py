@@ -50,10 +50,11 @@ ENGINES = ("batch", "scalar")
 
 #: Most candidate rows one grouped scoring call takes (a problem with
 #: more rows is scored alone).  The cap bounds the kernel's per-row
-#: temporaries.  Caps of 2,048 and 4,096 rows (471 and 374 calls on a
-#: cold zoo sweep, against 700) raised the median peak memory by 0.7 and
-#: 1.6 MB there and by 1.3 and 3.9 MB on the service sweep, and each won
-#: only 7 of 11 runs against this cap (DESIGN.md §2.2).
+#: temporaries, its ``(n+1, R)`` position tables and ``(R,)`` lines.  A
+#: cap of 2,048 rows (471 calls on a cold zoo sweep, against 700) won
+#: 10 of 10 alternating pairs there but only 8 of 10 on the service
+#: sweep, and raised the median peak memory by 0.5 MB on both
+#: (DESIGN.md §2.2).
 GROUP_ROWS = 1024
 
 if TYPE_CHECKING:  # imported lazily at runtime (cache.py imports this module)
