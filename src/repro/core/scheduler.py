@@ -18,19 +18,21 @@ Feature maps crossing stack boundaries are placed in the lowest memory
 level they fit (layer-by-layer behaviour) or in DRAM (single-layer
 behaviour), per the strategy's :class:`StackBoundary`.
 
-An evaluation has two phases.  *Plan* runs steps 1-4 for every stack
-and lists each computed layer-tile's ``(scaled layer, tops)`` search
-problem with its cache key, both from the engine's
-:class:`ProblemTable`.  *Assemble* hands the list to
-:meth:`~repro.mapping.loma.MappingSearchEngine.search_all` for step 5
-(grouped scoring of the cache misses, then one search per problem in
-plan order, raising the tops of an infeasible one) and runs step 6.
+An evaluation has two phases.  *Plan* (:meth:`DepthFirstEngine.plan`)
+runs steps 1-4 for every stack and lists each computed layer-tile's
+``(scaled layer, tops)`` search problem with its cache key, both from
+the engine's :class:`ProblemTable`.  *Assemble* runs step 5 (grouped
+scoring of the cache misses, then one search per problem in plan order,
+raising the tops of an infeasible one) and step 6.  An executor batch
+plans all of its jobs first and scores the misses of all of them at
+once (:meth:`DepthFirstEngine.solve`); an evaluation without such a
+plan plans itself and scores its own misses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..hardware.accelerator import Accelerator
 from ..mapping.cache import MappingCache
@@ -122,6 +124,18 @@ class _StackPlan:
     tiles: list[_TilePlan]
 
 
+def _searches(
+    plans: list[_StackPlan],
+) -> list[tuple[int, LayerSpec, Mapping[str, int], str]]:
+    """Every layer-tile search problem of ``plans``, in plan order."""
+    return [
+        search
+        for plan in plans
+        for tile_plan in plan.tiles
+        for search in tile_plan.searches
+    ]
+
+
 class DepthFirstEngine:
     """Evaluates depth-first schedules analytically (Fig. 5)."""
 
@@ -150,25 +164,62 @@ class DepthFirstEngine:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+    def plan(
+        self,
+        workload: WorkloadGraph,
+        strategy: DFStrategy,
+        stack: Stack | None = None,
+        input_locations: dict[str, int] | None = None,
+    ) -> list[_StackPlan]:
+        """Steps 1-4 of an evaluation: every stack of ``workload`` under
+        ``strategy``, or only ``stack`` (:meth:`evaluate_stack`'s
+        arguments), with its layer-tile search problems."""
+        if stack is None:
+            stacks = partition_stacks(
+                workload,
+                self.accel,
+                explicit=None if strategy.one_layer_per_stack else strategy.stacks,
+                per_layer=strategy.one_layer_per_stack,
+                fuse_depth=strategy.fuse_depth,
+            )
+        else:
+            stacks = [stack]
+        locations = self._boundary_locations(workload, strategy, stacks)
+        if input_locations:
+            locations.update(input_locations)
+        return [
+            self._plan_stack(workload, strategy, each, locations) for each in stacks
+        ]
+
+    def solve(self, plans: Iterable[list[_StackPlan]]) -> None:
+        """Score the cache misses of every planned evaluation in
+        ``plans`` in grouped kernel calls, and hold the winners for the
+        searches of :meth:`evaluate` (or :meth:`evaluate_stack`) given
+        each plan, until ``mapper.drop_solved()``
+        (:meth:`~repro.mapping.loma.MappingSearchEngine.solve`)."""
+        searches = [search for plan in plans for search in _searches(plan)]
+        self.mapper.solve(
+            self.accel,
+            ((layer, tops) for _, layer, tops, _ in searches),
+            (key for *_, key in searches),
+        )
+
     def evaluate(
-        self, workload: WorkloadGraph, strategy: DFStrategy
+        self,
+        workload: WorkloadGraph,
+        strategy: DFStrategy,
+        plan: list[_StackPlan] | None = None,
     ) -> ScheduleResult:
         """Evaluate ``workload`` under ``strategy``; returns accumulated
-        energy/latency plus the full per-stack, per-tile-type detail."""
-        stacks = partition_stacks(
-            workload,
-            self.accel,
-            explicit=None if strategy.one_layer_per_stack else strategy.stacks,
-            per_layer=strategy.one_layer_per_stack,
-            fuse_depth=strategy.fuse_depth,
-        )
-        locations = self._boundary_locations(workload, strategy, stacks)
-        stack_results = self._assemble(
-            [
-                self._plan_stack(workload, strategy, stack, locations)
-                for stack in stacks
-            ]
-        )
+        energy/latency plus the full per-stack, per-tile-type detail.
+
+        ``plan`` is the evaluation's :meth:`plan` when a batch planned it
+        and :meth:`solve` scored its problems; without one, the
+        evaluation plans itself and scores its own problems."""
+        solved = plan is not None
+        if not solved:
+            plan = self.plan(workload, strategy)
+        stack_results = self._assemble(plan, solved)
         total = CostResult()
         for sr in stack_results:
             total.add(sr.total)
@@ -186,32 +237,29 @@ class DepthFirstEngine:
         strategy: DFStrategy,
         stack: Stack,
         input_locations: dict[str, int] | None = None,
+        plan: list[_StackPlan] | None = None,
     ) -> StackResult:
         """Evaluate a single stack (used by the per-stack combination
         search of case study 2).  ``input_locations`` maps external
         producer layer names to I-hierarchy indices (default: computed
-        from the boundary policy)."""
-        locations = self._boundary_locations(workload, strategy, [stack])
-        if input_locations:
-            locations.update(input_locations)
-        plan = self._plan_stack(workload, strategy, stack, locations)
-        return self._assemble([plan])[0]
+        from the boundary policy); ``plan`` as for :meth:`evaluate`."""
+        solved = plan is not None
+        if not solved:
+            plan = self.plan(workload, strategy, stack, input_locations)
+        return self._assemble(plan, solved)[0]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _assemble(self, plans: list[_StackPlan]) -> list[StackResult]:
+    def _assemble(self, plans: list[_StackPlan], solved: bool) -> list[StackResult]:
         """Steps 5-6 for planned stacks: search every layer-tile problem
-        (:meth:`~repro.mapping.loma.MappingSearchEngine.search_all`), then
-        accumulate the stack results."""
-        searches = [
-            search
-            for plan in plans
-            for tile_plan in plan.tiles
-            for search in tile_plan.searches
-        ]
+        in plan order, after scoring their misses unless a batch's
+        :meth:`solve` has (:meth:`~repro.mapping.loma.MappingSearchEngine.search_all`
+        or ``search_each``), then accumulate the stack results."""
+        searches = _searches(plans)
+        search = self.mapper.search_each if solved else self.mapper.search_all
         found = iter(
-            self.mapper.search_all(
+            search(
                 self.accel,
                 [(layer, tops) for _, layer, tops, _ in searches],
                 [key for *_, key in searches],

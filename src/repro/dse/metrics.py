@@ -25,10 +25,14 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .pareto import dominates
 
 #: Monte-Carlo sample count for 3D+ hypervolume (fixed => deterministic).
 DEFAULT_HV_SAMPLES = 4096
+#: Monte-Carlo samples drawn and tested per block.
+_HV_BLOCK = 1024
 
 
 def reference_point(
@@ -118,14 +122,22 @@ def hypervolume(
         box *= hi - lo
     if box <= 0.0:
         return 0.0
+    # The draws are ``lo + u * (hi - lo)`` per objective, ``u`` taken
+    # from one seeded stream sample by sample, in float64 as in Python;
+    # a draw counts when some front point is <= it everywhere.  Blocks
+    # of samples keep the arrays small.
     rng = random.Random(seed)
+    lo = np.array(lows)
+    span = np.array(ref) - lo
     hits = 0
-    for _ in range(samples):
-        draw = tuple(lo + rng.random() * (hi - lo) for lo, hi in zip(lows, ref))
-        if any(
-            all(v <= d for v, d in zip(vec, draw)) for vec in front
-        ):
-            hits += 1
+    for start in range(0, samples, _HV_BLOCK):
+        count = min(_HV_BLOCK, samples - start) * dims
+        u = np.fromiter((rng.random() for _ in range(count)), float, count)
+        draws = lo + u.reshape(-1, dims) * span
+        dominated = np.zeros(len(draws), dtype=bool)
+        for vec in front:
+            dominated |= (draws >= vec).all(axis=1)
+        hits += int(np.count_nonzero(dominated))
     return box * hits / samples
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import weakref
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -80,11 +81,15 @@ class _JobRunner:
     """Evaluates jobs against per-accelerator engines sharing one
     mapping cache and one back-calculation memo.
 
-    Used directly by the serial backend and per shard by the long-lived
-    evaluation service.  Object references memoize by ``id()``, which a
+    The serial backend keeps one for its executor's lifetime and a
+    service shard one for its own, so engines (their problem tables and
+    held-infeasible problems) and resolved zoo objects carry over from
+    batch to batch.  Object references memoize by ``id()``, which a
     service shard sees fresh for every unpickled job — so both memos are
     capacity-bounded (oldest out) to keep a long-lived runner's memory
-    flat; zoo-name references always re-hit their entry.
+    flat; zoo-name references always re-hit their entry.  An entry holds
+    its object (an engine its accelerator), so no other object can take
+    that ``id()`` while the entry lives.
     """
 
     #: Per-memo capacity (engines and workloads each).
@@ -103,6 +108,9 @@ class _JobRunner:
         self.axis_memo = axis_memo if axis_memo is not None else AxisMemo()
         self._engines: dict[str | int, DepthFirstEngine] = {}
         self._workloads: dict[str | int, object] = {}
+        # The running batch's planned jobs not yet evaluated, in job
+        # order: (job, engine, evaluate's arguments, plan).
+        self._planned: deque[tuple] = deque()
 
     @classmethod
     def _bound(cls, memo: dict) -> None:
@@ -133,7 +141,9 @@ class _JobRunner:
             self._bound(self._workloads)
         return workload
 
-    def evaluate(self, job: EvalJob) -> "ScheduleResult | StackResult":
+    def _arguments(self, job: EvalJob) -> tuple[DepthFirstEngine, tuple]:
+        """``job``'s engine and the arguments of its ``evaluate`` (or
+        ``evaluate_stack``) call, which are also its ``plan``'s."""
         engine = self.engine_for(job)
         workload = self.workload_for(job)
         if job.kind == "stack":
@@ -143,13 +153,50 @@ class _JobRunner:
                 workload=workload.subgraph(job.stack_layers),
                 layers=layers,
             )
-            return engine.evaluate_stack(
-                workload,
-                job.strategy,
-                stack,
-                input_locations=dict(job.input_locations),
-            )
-        return engine.evaluate(workload, job.strategy)
+            return engine, (workload, job.strategy, stack, dict(job.input_locations))
+        return engine, (workload, job.strategy)
+
+    def run(self, jobs: Sequence[EvalJob]) -> list["ScheduleResult | StackResult"]:
+        """Evaluate a batch, as one :meth:`evaluate` per job in order
+        would, with every engine's cache misses of the whole batch
+        scored together: plan every job (steps 1-4), have each engine
+        score its planned problems' misses in grouped calls
+        (``DepthFirstEngine.solve``), then evaluate each job on its plan.
+
+        Planning stops at a job whose planning raises; its
+        :meth:`evaluate` plans it again, after the jobs before it, and
+        raises there.  The winners no search took are dropped on the
+        way out, also when a job raises."""
+        planned = self._planned
+        engines: dict[DepthFirstEngine, None] = {}
+        try:
+            for job in jobs:
+                try:
+                    engine, args = self._arguments(job)
+                    plan = engine.plan(*args)
+                except Exception:  # noqa: BLE001 - raised again by evaluate
+                    break
+                planned.append((job, engine, args, plan))
+                engines[engine] = None
+            for engine in engines:
+                engine.solve(entry[3] for entry in planned if entry[1] is engine)
+            return [self.evaluate(job) for job in jobs]
+        finally:
+            planned.clear()
+            for engine in engines:
+                engine.mapper.drop_solved()
+
+    def evaluate(self, job: EvalJob) -> "ScheduleResult | StackResult":
+        """Evaluate one job: on the plan the running batch made for it,
+        or planning it here and scoring its own cache misses."""
+        planned = self._planned
+        if planned and planned[0][0] is job:
+            _, engine, args, plan = planned.popleft()
+        else:
+            (engine, args), plan = self._arguments(job), None
+        if job.kind == "stack":
+            return engine.evaluate_stack(*args, plan=plan)
+        return engine.evaluate(*args, plan=plan)
 
 
 #: Executor backends; ``None`` auto-selects one from ``jobs``.
@@ -183,9 +230,11 @@ class Executor:
         :meth:`close`, or until the executor is garbage-collected.
 
     Both backends return bit-identical results for the same job list.
-    The serial backend's engines share one
-    :class:`~repro.core.backcalc.AxisMemo`, kept across ``run()``
-    calls; each service shard keeps its own.
+    The serial backend keeps one job runner, its engines and their
+    shared :class:`~repro.core.backcalc.AxisMemo` across ``run()``
+    calls (a new one when :attr:`cache`, :attr:`search_config` or
+    :attr:`policy` is replaced), and scores each batch's cache misses
+    together; each service shard keeps its own runner.
     """
 
     def __init__(
@@ -211,6 +260,7 @@ class Executor:
         self.backend = backend
         # Kept across run() calls: a DSE runs one batch per generation.
         self._axis_memo = AxisMemo()
+        self._runner: _JobRunner | None = None
         self._service = None
         self._finalizer: weakref.finalize | None = None
 
@@ -279,10 +329,17 @@ class Executor:
 
     # ------------------------------------------------------------------
     def _run_serial(self, jobs: Sequence[EvalJob]) -> list[EvalResult]:
-        runner = _JobRunner(
-            self.search_config, self.policy, self.cache, self._axis_memo
-        )
+        runner = self._runner
+        if (
+            runner is None
+            or runner.cache is not self.cache
+            or runner.search_config is not self.search_config
+            or runner.policy is not self.policy
+        ):
+            runner = self._runner = _JobRunner(
+                self.search_config, self.policy, self.cache, self._axis_memo
+            )
         return [
-            EvalResult(job=job, result=runner.evaluate(job), index=i)
-            for i, job in enumerate(jobs)
+            EvalResult(job=job, result=result, index=i)
+            for i, (job, result) in enumerate(zip(jobs, runner.run(jobs)))
         ]

@@ -33,7 +33,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 from .. import obs
 from ..hardware.accelerator import Accelerator
@@ -47,6 +47,10 @@ from .zigzag import evaluate_mapping
 
 #: Valid values of :attr:`SearchConfig.engine`.
 ENGINES = ("batch", "scalar")
+
+#: Known-infeasible problems each engine keeps (oldest out).  The
+#: genetic scenario DSE meets 12 distinct ones.
+INFEASIBLE_BOUND = 1024
 
 #: Most candidate rows one grouped scoring call takes (a problem with
 #: more rows is scored alone).  The cap bounds the kernel's per-row
@@ -261,9 +265,13 @@ class MappingSearchEngine:
             cache = MappingCache()
         self.cache = cache
         # Winners :meth:`solve` scored, by normalized key, until the
-        # search that misses on the key takes its own (:meth:`search_all`
+        # search that misses on the key takes its own (:meth:`drop_solved`
         # drops the rest).
         self._solved: dict[str, tuple[SearchResult | None, str, bool]] = {}
+        # The scored outcome of every problem found to have no feasible
+        # mapping (never cached), by normalized key, bounded: a repeated
+        # search misses, raises and counts as before without scoring.
+        self._infeasible: dict[str, tuple[None, str, bool]] = {}
 
     # ------------------------------------------------------------------
     def cache_key(
@@ -307,11 +315,12 @@ class MappingSearchEngine:
         operation).  ``key`` is the problem's normalized cache key when
         the caller already holds it (:meth:`solve` returns them).  A
         cache miss that :meth:`solve` already scored takes the held
-        winner instead of scoring again.
+        winner, and one this engine found infeasible before takes that
+        outcome, instead of scoring again.
         """
         if tops is None:
             tops = {op: accel.top_level_index(op) for op in ("W", "I", "O")}
-        text = None
+        text = solved = None
         if objective is None:
             if key is None:
                 key = normalize_key(self.cache_key(layer, accel, tops))
@@ -319,9 +328,11 @@ class MappingSearchEngine:
             hit = self.cache.get(text)
             if hit is not None:
                 return hit
-        solved = self._solved.pop(text, None) if text is not None else None
+            solved = self._solved.pop(text, None) or self._infeasible.get(text)
         if solved is None:
             solved = self._run(layer, accel, tops, objective or self.config.objective)
+            if text is not None:
+                self._remember(text, solved)
         best, engine, fell_back = solved
         if obs.enabled:
             # Telemetry only — counters never feed back into the search.
@@ -403,20 +414,22 @@ class MappingSearchEngine:
     def solve(
         self,
         accel: Accelerator,
-        problems: Sequence[tuple[LayerSpec, Mapping[str, int]]],
-        keys: list[str] | None = None,
-    ) -> list[str]:
+        problems: Iterable[tuple[LayerSpec, Mapping[str, int]]],
+        keys: Iterable[str] | None = None,
+    ) -> "list[str] | Iterable[str]":
         """Score the cache misses among ``problems`` in grouped kernel
         calls and hold their winners for :meth:`search`.
 
         ``keys`` are the problems' normalized cache keys when the caller
         already holds them (the depth-first engine's problem table);
         they are built here otherwise.  Returns each problem's key, for
-        ``search(..., key=...)``.  The distinct misses are grouped by
-        (tops, active operands, loop count, whether ``K`` indexes
-        ``I``) and each group is scored in calls of at most
-        :data:`GROUP_ROWS` rows.  A problem with no feasible ordering is
-        solved again with the next of its :func:`raised_tops`.
+        ``search(..., key=...)`` (``keys`` itself when given: both are
+        iterated once).  The distinct misses are grouped by (tops,
+        active operands, loop count, whether ``K`` indexes ``I``) and
+        each group is scored in calls of at most :data:`GROUP_ROWS`
+        rows.  A problem with no feasible ordering is solved again with
+        the next of its :func:`raised_tops`; one this engine already
+        found infeasible is held as such unscored.
 
         Nothing touches the cache here: the membership test counts no
         hit or miss, and each winner is put by the :meth:`search` that
@@ -427,6 +440,7 @@ class MappingSearchEngine:
         from .cache import MappingCache
 
         if keys is None:
+            problems = list(problems)
             keys = [
                 normalize_key(self.cache_key(layer, accel, tops))
                 for layer, tops in problems
@@ -434,28 +448,35 @@ class MappingSearchEngine:
         self._solved.clear()
         if self.config.engine != "batch" or not isinstance(self.cache, MappingCache):
             return keys
-        # Each chain walks one problem's tops: the planned ones, then
-        # raised_tops(planned) while the current tops are infeasible.
-        chains = [
-            (layer, tops, None, key) for (layer, tops), key in zip(problems, keys)
-        ]
+        # Each chain walks one distinct uncached problem's tops: the
+        # planned ones, then raised_tops(planned) while the current tops
+        # are infeasible.  Chains are keyed by the current tops' key.
+        chains: dict[str, tuple] = {}
+        for (layer, tops), key in zip(problems, keys):
+            if key not in chains and key not in self.cache:
+                chains[key] = (layer, tops, None)
         while chains:
             misses: dict[str, tuple[LayerSpec, Mapping[str, int]]] = {}
-            for layer, tops, _, key in chains:
-                if key not in self._solved and key not in self.cache:
-                    misses.setdefault(key, (layer, tops))
+            for key, (layer, tops, _) in chains.items():
+                if key in self._solved:
+                    continue
+                known = self._infeasible.get(key)
+                if known is not None:
+                    self._solved[key] = known
+                else:
+                    misses[key] = (layer, tops)
             self._solve_grouped(accel, misses)
-            infeasible = []
-            for layer, tops, raised, key in chains:
-                solved = self._solved.get(key)
-                if solved is None or solved[0] is not None:
+            infeasible: dict[str, tuple] = {}
+            for key, (layer, tops, raised) in chains.items():
+                if self._solved[key][0] is not None:
                     continue
                 if raised is None:
                     raised = raised_tops(accel, tops)
                 if raised:
                     tops = raised[0]
                     key = normalize_key(self.cache_key(layer, accel, tops))
-                    infeasible.append((layer, tops, raised[1:], key))
+                    if key not in infeasible and key not in self.cache:
+                        infeasible[key] = (layer, tops, raised[1:])
             chains = infeasible
         return keys
 
@@ -467,22 +488,45 @@ class MappingSearchEngine:
     ) -> list[SearchResult]:
         """Search every ``(layer, tops)`` problem, in order, after one
         :meth:`solve` has scored their cache misses in grouped calls
-        (``keys`` as for :meth:`solve`).
+        (``keys`` as for :meth:`solve`): :meth:`search_each`, then
+        :meth:`drop_solved`, also when a search raises.
+        """
+        keys = self.solve(accel, problems, keys)
+        try:
+            return self.search_each(accel, problems, keys)
+        finally:
+            self.drop_solved()
+
+    def search_each(
+        self,
+        accel: Accelerator,
+        problems: Sequence[tuple[LayerSpec, Mapping[str, int]]],
+        keys: Sequence[str | None],
+    ) -> list[SearchResult]:
+        """One :meth:`search` per ``(layer, tops)`` problem, in order,
+        taking the winners an earlier :meth:`solve` holds.
 
         A problem whose tops have no feasible mapping is searched again
         at each of its :func:`raised_tops` in turn, and raises
         :class:`AllocationError` naming the layer when none is feasible.
-        Winners :meth:`solve` held that no search took are dropped on the
-        way out, also when a search raises.
         """
-        keys = self.solve(accel, problems, keys)
-        try:
-            return [
-                self._search_raised(layer, accel, tops, key)
-                for (layer, tops), key in zip(problems, keys)
-            ]
-        finally:
-            self._solved.clear()
+        return [
+            self._search_raised(layer, accel, tops, key)
+            for (layer, tops), key in zip(problems, keys)
+        ]
+
+    def drop_solved(self) -> None:
+        """Drop the winners :meth:`solve` holds that no search took."""
+        self._solved.clear()
+
+    def _remember(
+        self, key: str, solved: tuple[SearchResult | None, str, bool]
+    ) -> None:
+        """Keep ``key``'s outcome if it is infeasible (bounded)."""
+        if solved[0] is None and key not in self._infeasible:
+            self._infeasible[key] = solved
+            if len(self._infeasible) > INFEASIBLE_BOUND:
+                del self._infeasible[next(iter(self._infeasible))]
 
     def _search_raised(
         self,
@@ -534,6 +578,7 @@ class MappingSearchEngine:
                 )
                 for (key, _), result in zip(chunk, results):
                     self._solved[key] = result
+                    self._remember(key, result)
 
     def _scalar(
         self,

@@ -136,9 +136,12 @@ class RunHandle:
 
     # ------------------------------------------------------------------
     def _write(self) -> None:
+        # No ``indent``: only the unindented encoding runs json's C
+        # encoder; the pure-Python one leaves closure cycles for the
+        # collector on every rewrite (DESIGN.md §5.6).
         self.directory.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(f"{self.path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(self.record, indent=1, sort_keys=True))
+        tmp.write_text(json.dumps(self.record, sort_keys=True))
         os.replace(tmp, self.path)
 
 

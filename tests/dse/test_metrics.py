@@ -1,9 +1,12 @@
 """Unit tests for the frontier-quality metrics (hypervolume, additive
 epsilon, reference points)."""
 
+import random
+
 import pytest
 
 from repro.dse import additive_epsilon, hypervolume, reference_point
+from repro.dse.metrics import _clean
 
 
 class TestReferencePoint:
@@ -84,6 +87,65 @@ class TestHypervolumeMonteCarlo:
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):
             hypervolume([(1.0, 1.0, 1.0)], (2.0, 2.0, 2.0), samples=0)
+
+
+def loop_hypervolume(points, reference, samples=4096, seed=0):
+    """The Monte-Carlo estimate one draw at a time: the reference the
+    vectorized estimate must equal exactly."""
+    ref = tuple(float(r) for r in reference)
+    front = _clean(points, ref)
+    if not front:
+        return 0.0
+    lows = tuple(min(vec[m] for vec in front) for m in range(len(ref)))
+    box = 1.0
+    for lo, hi in zip(lows, ref):
+        box *= hi - lo
+    if box <= 0.0:
+        return 0.0
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(samples):
+        draw = tuple(lo + rng.random() * (hi - lo) for lo, hi in zip(lows, ref))
+        if any(all(v <= d for v, d in zip(vec, draw)) for vec in front):
+            hits += 1
+    return box * hits / samples
+
+
+class TestHypervolumeMatchesTheLoop:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # duplicates
+            [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (3.0, 2.0, 1.0)],
+            # ties in every objective
+            [(1.0, 2.0, 2.0), (2.0, 1.0, 2.0), (2.0, 2.0, 1.0), (2.0, 2.0, 2.0)],
+            # on the box edge: at the reference (dropped) and at the lows
+            [(0.0, 4.0, 4.0), (4.0, 0.0, 4.0), (4.0, 4.0, 0.0), (5.0, 1.0, 1.0)],
+            # a degenerate box: one objective constant
+            [(1.0, 2.0, 3.0), (2.0, 1.0, 3.0)],
+            # four objectives
+            [(1.0, 2.0, 3.0, 4.0), (4.0, 3.0, 2.0, 1.0), (2.5, 2.5, 2.5, 2.5)],
+        ],
+    )
+    def test_edge_cases(self, points):
+        ref = (5.0,) * len(points[0])
+        for samples, seed in ((4096, 0), (1, 3), (1500, 7)):
+            assert hypervolume(points, ref, samples, seed) == loop_hypervolume(
+                points, ref, samples, seed
+            )
+
+    def test_random_fronts(self):
+        rng = random.Random(11)
+        for trial in range(40):
+            dims = rng.choice((3, 3, 4))
+            points = [
+                [rng.choice((rng.random(), round(rng.random(), 1), 1.0)) for _ in range(dims)]
+                for _ in range(rng.randint(1, 25))
+            ]
+            ref = (1.0,) * dims if trial % 2 else (1.1,) * dims
+            assert hypervolume(points, ref, seed=trial) == loop_hypervolume(
+                points, ref, seed=trial
+            )
 
 
 class TestAdditiveEpsilon:

@@ -8,10 +8,12 @@ no object of a ``repro`` class, and no cycle holding one.
 The collector is paused for every ``Executor.run`` batch and around
 every service shard job (DESIGN.md §5.6), which is safe only while
 those batches make no cyclic garbage: a DSE generation, a service job
-and a job that raises are probed here too.
+and a job that raises are probed here too, and so is what a DSE with
+a run record makes between its batches.
 """
 
 import gc
+import json
 import types
 from collections import Counter
 
@@ -23,6 +25,7 @@ from repro.explore import Executor, SweepSpec
 from repro.explore import executor as executor_module
 from repro.mapping import SearchConfig, loma
 from repro.mapping.allocation import AllocationError
+from repro.obs import ledger
 from repro.serve import ServiceError
 
 from ..conftest import make_tiny_workload
@@ -148,6 +151,42 @@ def test_dse_generations_leave_no_cyclic_garbage(save_all, monkeypatch):
     runner.run(GeneticSearch(population=4, generations=3))
     assert len(found) >= 2
     assert not any(found), found
+
+
+def test_a_ledger_backed_dse_leaves_no_cyclic_garbage(save_all, monkeypatch, tmp_path):
+    """With a run record open, as ``repro dse`` keeps one, the DSE loop
+    rewrites the record once per generation between its batches: from
+    the first batch to the end of the search, nothing at all is left
+    for the collector, and the record holds every generation."""
+    found = []
+    run = Executor.run
+
+    def probed(self, spec):
+        found.append(drain(counts=lambda obj: True))
+        return run(self, spec)
+
+    monkeypatch.setattr(Executor, "run", probed)
+    space = DesignSpace(
+        accelerators=("meta_proto_like_df",),
+        tile_x=(4, 16, 48),
+        tile_y=(4, 18, 32),
+        modes=(OverlapMode.FULLY_CACHED, OverlapMode.FULLY_RECOMPUTE),
+    )
+    record = ledger.begin_run("dse", ["dse"], directory=tmp_path)
+    runner = DSERunner(
+        space,
+        make_tiny_workload(),
+        ("energy", "latency"),
+        Executor(search_config=FAST),
+        seed=0,
+    )
+    result = runner.run(GeneticSearch(population=4, generations=3))
+    found.append(drain(counts=lambda obj: True))
+    record.finish()
+    assert len(found) >= 3
+    assert not any(found[1:]), found  # found[0]: the set-up's
+    convergence = json.loads(record.path.read_text())["convergence"]
+    assert len(convergence) == len(result.generations)
 
 
 def test_a_job_that_raises_leaves_no_cyclic_garbage(save_all, monkeypatch):
