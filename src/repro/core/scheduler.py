@@ -32,7 +32,7 @@ plan plans itself and scores its own misses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from ..hardware.accelerator import Accelerator
 from ..mapping.cache import MappingCache
@@ -83,6 +83,14 @@ class ProblemTable:
     ) -> tuple[LayerSpec, str]:
         """``geom``'s scaled layer and its normalized cache key at
         ``tops``, built only on a miss."""
+        _, scaled, key = self.entry(geom, tops)
+        return scaled, key
+
+    def entry(
+        self, geom: LayerTileGeometry, tops: Mapping[str, int]
+    ) -> tuple[LayerSpec, LayerSpec, str]:
+        """The table's own ``(source layer, scaled layer, cache key)``
+        entry for ``geom`` at ``tops``, built only on a miss."""
         x, y = geom.x, geom.y
         ident = (
             id(geom.layer),
@@ -101,19 +109,21 @@ class ProblemTable:
             entry = self._entries[ident] = (geom.layer, scaled, key)
             if len(self._entries) > self.BOUND:
                 del self._entries[next(iter(self._entries))]
-        return entry[1], entry[2]
+        return entry
 
 
 @dataclass
 class _TilePlan:
     """One tile type after steps 3-4: its memory plan, data-copy cost
-    and, per computed layer, ``(geometry index, scaled layer, tops,
-    cache key)``."""
+    and, per computed layer, its geometry index and its
+    :class:`ProblemTable` entry.  The entries are the table's own
+    tuples, so a plan waiting in a batch holds no object per search."""
 
     tile: TileType
     plan: TileMemoryPlan
     copy_cost: CostResult
-    searches: list[tuple[int, LayerSpec, Mapping[str, int], str]]
+    computed: list[int]
+    problems: list[tuple[LayerSpec, LayerSpec, str]]
 
 
 @dataclass
@@ -126,14 +136,14 @@ class _StackPlan:
 
 def _searches(
     plans: list[_StackPlan],
-) -> list[tuple[int, LayerSpec, Mapping[str, int], str]]:
-    """Every layer-tile search problem of ``plans``, in plan order."""
-    return [
-        search
-        for plan in plans
-        for tile_plan in plan.tiles
-        for search in tile_plan.searches
-    ]
+) -> Iterator[tuple[LayerSpec, Mapping[str, int], str]]:
+    """Every layer-tile search problem of ``plans``, in plan order, as
+    ``(scaled layer, tops, cache key)``."""
+    for plan in plans:
+        for tile_plan in plan.tiles:
+            layer_tops = tile_plan.plan.layer_tops
+            for idx, (_, scaled, key) in zip(tile_plan.computed, tile_plan.problems):
+                yield scaled, layer_tops[idx].tops, key
 
 
 class DepthFirstEngine:
@@ -191,17 +201,16 @@ class DepthFirstEngine:
             self._plan_stack(workload, strategy, each, locations) for each in stacks
         ]
 
-    def solve(self, plans: Iterable[list[_StackPlan]]) -> None:
+    def solve(self, plans: Sequence[list[_StackPlan]]) -> None:
         """Score the cache misses of every planned evaluation in
         ``plans`` in grouped kernel calls, and hold the winners for the
         searches of :meth:`evaluate` (or :meth:`evaluate_stack`) given
         each plan, until ``mapper.drop_solved()``
         (:meth:`~repro.mapping.loma.MappingSearchEngine.solve`)."""
-        searches = [search for plan in plans for search in _searches(plan)]
         self.mapper.solve(
             self.accel,
-            ((layer, tops) for _, layer, tops, _ in searches),
-            (key for *_, key in searches),
+            ((layer, tops) for plan in plans for layer, tops, _ in _searches(plan)),
+            (key for plan in plans for *_, key in _searches(plan)),
         )
 
     def evaluate(
@@ -256,12 +265,12 @@ class DepthFirstEngine:
         in plan order, after scoring their misses unless a batch's
         :meth:`solve` has (:meth:`~repro.mapping.loma.MappingSearchEngine.search_all`
         or ``search_each``), then accumulate the stack results."""
-        searches = _searches(plans)
+        searches = list(_searches(plans))
         search = self.mapper.search_each if solved else self.mapper.search_all
         found = iter(
             search(
                 self.accel,
-                [(layer, tops) for _, layer, tops, _ in searches],
+                [(layer, tops) for layer, tops, _ in searches],
                 [key for *_, key in searches],
             )
         )
@@ -426,7 +435,7 @@ class DepthFirstEngine:
         }
 
         copy_total = CostResult()
-        searches = []
+        computed, problems = [], []
         for idx, geom in enumerate(tile.geometry):
             if not geom.is_computed:
                 continue
@@ -462,9 +471,9 @@ class DepthFirstEngine:
             copy_total.add(
                 copy_cost([DataCopyAction(n, bits, s, d) for n, s, d in moves])
             )
-            scaled, key = self.problems.problem(geom, tops)
-            searches.append((idx, scaled, tops, key))
-        return _TilePlan(tile=tile, plan=plan, copy_cost=copy_total, searches=searches)
+            computed.append(idx)
+            problems.append(self.problems.entry(geom, tops))
+        return _TilePlan(tile, plan, copy_total, computed, problems)
 
     def _assemble_stack(self, stack_plan: _StackPlan, found) -> StackResult:
         """Step 6 for one stack: its tile types' layer costs, taken in
@@ -475,7 +484,7 @@ class DepthFirstEngine:
             tile = tile_plan.tile
             result = TileTypeResult(tile=tile, plan=tile_plan.plan)
             result.layer_costs = [CostResult() for _ in tile.geometry]
-            for idx, *_ in tile_plan.searches:
+            for idx in tile_plan.computed:
                 result.layer_costs[idx] = next(found).cost
             result.copy_cost = tile_plan.copy_cost
             tile_results.append(result)

@@ -179,7 +179,7 @@ class _JobRunner:
                 planned.append((job, engine, args, plan))
                 engines[engine] = None
             for engine in engines:
-                engine.solve(entry[3] for entry in planned if entry[1] is engine)
+                engine.solve([entry[3] for entry in planned if entry[1] is engine])
             return [self.evaluate(job) for job in jobs]
         finally:
             planned.clear()

@@ -52,8 +52,11 @@ def planned_searches(engine):
                     plan = engine._plan_stack(workload, strategy, stack, locations)
                     for tile_plan in plan.tiles:
                         geometry = tile_plan.tile.geometry
-                        for idx, scaled, tops, key in tile_plan.searches:
-                            found.append((geometry[idx], tops, scaled, key))
+                        layer_tops = tile_plan.plan.layer_tops
+                        for idx, (_, scaled, key) in zip(
+                            tile_plan.computed, tile_plan.problems
+                        ):
+                            found.append((geometry[idx], layer_tops[idx].tops, scaled, key))
     return found
 
 
