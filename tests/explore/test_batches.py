@@ -269,10 +269,34 @@ def test_each_problem_is_scored_once_per_engine(generations, fast_config, monkey
     monkeypatch.setattr(loma, "evaluate_candidates", spy)
     monkeypatch.setattr(loma.MappingSearchEngine, "search", counting)
     executor = Executor(search_config=fast_config)
-    executor.run(generations[0])
-    first = len(failures)
+    raising = generations[0][-1]
+    executor.run(generations[0] + [raising])  # twice in one batch
+    per_job = len(failures) // 2
     misses = executor.cache.stats["misses"]
-    executor.run(generations[2])
-    assert first > 0 and len(failures) == 2 * first
+    executor.run(generations[2])  # and once in the next
+    assert per_job > 0 and len(failures) == 3 * per_job
     assert executor.cache.stats["misses"] > misses  # the repeats still miss
     assert len(scored) == len(set(scored))
+
+
+def test_a_run_inside_a_job_of_the_same_executor_stays_correct(
+    generations, fast_config, monkeypatch
+):
+    """A batch started from inside a job of a running batch, on the same
+    executor, never takes a plan of the outer batch: every result
+    equals a fresh executor's."""
+    outer, inner = generations[1], generations[0][:1]
+    executor = Executor(search_config=fast_config)
+    evaluate = executor_module._JobRunner.evaluate
+    nested = []
+
+    def nesting(runner, job):
+        if job is outer[0]:
+            nested.extend(executor.run(inner))
+        return evaluate(runner, job)
+
+    monkeypatch.setattr(executor_module._JobRunner, "evaluate", nesting)
+    results = executor.run(outer)
+    monkeypatch.undo()
+    fresh = Executor(search_config=fast_config)
+    assert totals([nested, results]) == totals([fresh.run(inner), fresh.run(outer)])
