@@ -83,7 +83,7 @@ class _JobRunner:
 
     The serial backend keeps one for its executor's lifetime and a
     service shard one for its own, so engines (their problem tables and
-    held-infeasible problems) and resolved zoo objects carry over from
+    known-infeasible problems) and resolved zoo objects carry over from
     batch to batch.  Object references memoize by ``id()``, which a
     service shard sees fresh for every unpickled job — so both memos are
     capacity-bounded (oldest out) to keep a long-lived runner's memory
