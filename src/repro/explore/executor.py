@@ -25,7 +25,7 @@ import os
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .. import collector, obs
 from ..core.backcalc import AxisMemo
@@ -85,7 +85,8 @@ class _JobRunner:
     service shard one for its own, so engines (their problem tables and
     known-infeasible problems) and resolved zoo objects carry over from
     batch to batch.  Object references memoize by ``id()``, which a
-    service shard sees fresh for every unpickled job — so both memos are
+    service shard sees fresh in every service batch (one copy per
+    object and batch, shared by the batch's chunks) — so both memos are
     capacity-bounded (oldest out) to keep a long-lived runner's memory
     flat; zoo-name references always re-hit their entry.  An entry holds
     its object (an engine its accelerator), so no other object can take
@@ -156,12 +157,15 @@ class _JobRunner:
             return engine, (workload, job.strategy, stack, dict(job.input_locations))
         return engine, (workload, job.strategy)
 
-    def run(self, jobs: Sequence[EvalJob]) -> list["ScheduleResult | StackResult"]:
-        """Evaluate a batch, as one :meth:`evaluate` per job in order
-        would, with every engine's cache misses of the whole batch
-        scored together: plan every job (steps 1-4), have each engine
-        score its planned problems' misses in grouped calls
-        (``DepthFirstEngine.solve``), then evaluate each job on its plan.
+    def run(
+        self, jobs: Sequence[EvalJob]
+    ) -> Iterator["ScheduleResult | StackResult"]:
+        """Evaluate a batch, yielding each job's result in order, as one
+        :meth:`evaluate` per job would, with every engine's cache misses
+        of the whole batch scored together: plan every job (steps 1-4),
+        have each engine score its planned problems' misses in grouped
+        calls (``DepthFirstEngine.solve``), then evaluate each job on
+        its plan.  Consume it to the end (or to the job that raises).
 
         Planning stops at a job whose planning raises; its
         :meth:`evaluate` plans it again, after the jobs before it, and
@@ -180,7 +184,8 @@ class _JobRunner:
                 engines[engine] = None
             for engine in engines:
                 engine.solve([entry[3] for entry in planned if entry[1] is engine])
-            return [self.evaluate(job) for job in jobs]
+            for job in jobs:
+                yield self.evaluate(job)
         finally:
             planned.clear()
             for engine in engines:
@@ -234,7 +239,8 @@ class Executor:
     shared :class:`~repro.core.backcalc.AxisMemo` across ``run()``
     calls (a new one when :attr:`cache`, :attr:`search_config` or
     :attr:`policy` is replaced), and scores each batch's cache misses
-    together; each service shard keeps its own runner.
+    together; each service shard keeps its own runner and runs each
+    chunk of a batch it takes the same way.
     """
 
     def __init__(
@@ -339,7 +345,8 @@ class Executor:
             runner = self._runner = _JobRunner(
                 self.search_config, self.policy, self.cache, self._axis_memo
             )
+        results = list(runner.run(jobs))
         return [
             EvalResult(job=job, result=result, index=i)
-            for i, (job, result) in enumerate(zip(jobs, runner.run(jobs)))
+            for i, (job, result) in enumerate(zip(jobs, results))
         ]

@@ -11,6 +11,12 @@ multi-job batch with ``jobs > 1`` through it:
   :func:`job_key` of a batch once and hands its result to every
   duplicate (results are deterministic, so dedup never changes an
   answer);
+* **chunks** — ``map`` queues the distinct jobs in chunks of shrinking
+  size (:func:`chunk_sizes`), each accelerator's jobs together; a shard
+  runs each chunk it takes as one executor batch, scoring the chunk's
+  cache misses together on engines it shares with the batch's other
+  chunks, while the small last chunks keep the shards finishing
+  together;
 * **cache flow** — each shard searches against a local
   :class:`MappingCache` pre-warmed at :meth:`EvalService.start` with
   the caller cache's entries; every result carries the entries its job
@@ -28,7 +34,9 @@ run of the same jobs.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import math
 import multiprocessing as mp
 import queue
 import time
@@ -68,6 +76,56 @@ def job_key(job: "EvalJob") -> tuple:
     )
 
 
+def chunk_sizes(count: int, shards: int) -> list[int]:
+    """Sizes of the chunks ``map`` queues for ``count`` distinct jobs
+    over ``shards`` shards: each chunk takes ``1 / (2 * shards)`` of the
+    jobs not yet queued (at least one), so the first chunks are large
+    and the last ones single jobs (guided self-scheduling)."""
+    sizes = []
+    while count > 0:
+        size = math.ceil(count / (2 * shards))
+        sizes.append(size)
+        count -= size
+    return sizes
+
+
+def _shared_refs(job: "EvalJob", refs: tuple, copies: dict) -> "EvalJob":
+    """``job`` with each object reference replaced by the first copy of
+    the same caller object (``refs`` holds the caller's ``id()`` of
+    each) that this shard unpickled in the running batch, so the
+    batch's chunks share one engine and workload per object."""
+    accelerator, workload = (
+        ref if isinstance(ref, str) else copies.setdefault(key, ref)
+        for ref, key in zip((job.accelerator, job.workload), refs)
+    )
+    if accelerator is job.accelerator and workload is job.workload:
+        return job
+    return dataclasses.replace(job, accelerator=accelerator, workload=workload)
+
+
+def _run_chunk(runner, jobs: list, shard_index: int) -> list[tuple]:
+    """``(result, error)`` for each job of a chunk, run as one batch
+    (``_JobRunner.run``).  Each job's evaluation runs with the cyclic
+    collector paused (the first one's with the batch's planning and
+    scoring), which may collect between jobs.  After a job fails, the
+    rest of the chunk runs as a new batch: each job succeeds or fails on
+    its own, as it would alone."""
+    outcomes: list[tuple] = []
+    while len(outcomes) < len(jobs):
+        results = runner.run(jobs[len(outcomes):])
+        try:
+            while True:
+                with collector.paused():
+                    result = next(results, None)
+                if result is None:
+                    break
+                outcomes.append((result, None))
+        except Exception as exc:  # noqa: BLE001 - shipped to the parent
+            detail = "".join(traceback.format_exception_only(exc)).strip()
+            outcomes.append((None, f"shard {shard_index}: {detail}"))
+    return outcomes
+
+
 # ----------------------------------------------------------------------
 # Worker-process main (module-level: must be importable after fork/spawn)
 # ----------------------------------------------------------------------
@@ -80,21 +138,27 @@ def _service_worker_main(
     cache_source,
     obs_enabled: bool = False,
 ) -> None:
-    """Pull ``(job_id, job, submit_time)`` items until the ``None``
-    sentinel and evaluate each.  ``cache_source`` is either the caller
-    cache's entries, which pre-warm this shard's local
+    """Pull ``(batch, job_ids, jobs, refs, submit_time)`` chunks until
+    the ``None`` sentinel and run each as one batch.  ``cache_source`` is
+    either the caller cache's entries, which pre-warm this shard's local
     :class:`MappingCache`, or the address of the cache server whose
-    table the shards share.
+    table the shards share.  ``refs`` holds the caller's ``id()`` of
+    each job's accelerator and workload: within one ``batch`` a shard
+    evaluates every chunk on its first copy of each object
+    (:func:`_shared_refs`).
 
-    Each result message is ``(job_id, result, error, entries, lookups,
-    telemetry)``: the cache entries the job added (always empty against
-    a cache server, which already holds them), its ``(hits, misses)``
-    counts, and this shard's registry delta since its previous message
-    (``None`` with telemetry off) — the evaluation's own series plus
-    the shard's queue-wait and execution time (monotonic-clock deltas,
-    comparable across processes on the platforms that matter).  The
-    registry is cleared after every harvest, so no delta is shipped
-    twice."""
+    Each chunk gets one result message ``(job_ids, outcomes, entries,
+    lookups, telemetry)``: a ``(result, error)`` per job, the cache
+    entries the chunk added (always empty against a cache server, which
+    already holds them), its ``(hits, misses)`` counts, and this shard's
+    registry delta since its previous chunk (``None`` with telemetry
+    off).  One pickle carries the results and the entries, so a result
+    arrives sharing its layer costs with the entries, as in a serial
+    run.  The delta holds the evaluations' own series plus each job's
+    queue wait and an equal share of the chunk's execution time
+    (monotonic-clock deltas, comparable across processes on the
+    platforms that matter).  The registry is cleared after every
+    harvest, so no delta is shipped twice."""
     from ..explore.executor import _JobRunner
 
     # Objects inherited through fork belong to the parent: never collect
@@ -112,37 +176,39 @@ def _service_worker_main(
     else:
         cache, known = CacheClient(cache_source), None
     runner = _JobRunner(search_config, policy, cache)
+    running, copies = None, {}
     try:
         while True:
             item = job_queue.get()
             if item is None:
                 break
-            job_id, job, t_submit = item
+            batch, job_ids, jobs, refs, t_submit = item
+            if batch != running:
+                running, copies = batch, {}
+            jobs = [_shared_refs(job, ids, copies) for job, ids in zip(jobs, refs)]
             t_start = time.monotonic()
             hits, misses = cache.hits, cache.misses
-            result = error = None
-            try:
-                with collector.paused():
-                    result = runner.evaluate(job)
-            except Exception as exc:  # noqa: BLE001 - shipped to the parent
-                detail = "".join(traceback.format_exception_only(exc)).strip()
-                error = f"shard {shard_index}: {detail}"
+            outcomes = _run_chunk(runner, jobs, shard_index)
             entries = {} if known is None else cache.delta(known)
             if entries:
                 known.update(entries)
             lookups = (cache.hits - hits, cache.misses - misses)
             if obs.enabled:
                 registry = obs.metrics()
-                registry.histogram(
-                    "service_queue_wait_seconds", shard=shard_index
-                ).observe(t_start - t_submit)
-                registry.histogram(
-                    "service_exec_seconds", shard=shard_index
-                ).observe(time.monotonic() - t_start)
-                registry.counter("service_jobs_total", shard=shard_index).inc()
+                share = (time.monotonic() - t_start) / len(jobs)
+                for _ in jobs:
+                    registry.histogram(
+                        "service_queue_wait_seconds", shard=shard_index
+                    ).observe(t_start - t_submit)
+                    registry.histogram(
+                        "service_exec_seconds", shard=shard_index
+                    ).observe(share)
+                registry.counter("service_jobs_total", shard=shard_index).inc(
+                    len(jobs)
+                )
             telemetry = obs.harvest()
             obs.metrics().clear()
-            result_queue.put((job_id, result, error, entries, lookups, telemetry))
+            result_queue.put((job_ids, outcomes, entries, lookups, telemetry))
     finally:
         if isinstance(cache, CacheClient):
             cache.close()
@@ -274,30 +340,58 @@ class EvalService:
         """Evaluate every job and return the results in job order.
 
         Each distinct :func:`job_key` is evaluated once; its duplicates
-        count as ``coalesced`` and share the result.  The first failed
-        evaluation, in job order, raises :class:`ServiceError` once the
-        whole batch is back.  A dead shard raises it as soon as a wait
-        of ``_LIVENESS_INTERVAL`` seconds for the next result finds it
-        dead."""
+        count as ``coalesced`` and share the result.  The distinct jobs
+        are queued in chunks of :func:`chunk_sizes`, each accelerator's
+        jobs together, each chunk evaluated as one batch by the shard
+        that takes it.  The first failed evaluation, in job order,
+        raises :class:`ServiceError` once the whole batch is back.  A
+        dead shard raises it as soon as a wait of ``_LIVENESS_INTERVAL``
+        seconds for the next result finds it dead."""
         if not self.running:
             raise RuntimeError("EvalService.map() before start()")
         keys = [job_key(job) for job in jobs]
         ids: dict[tuple, int] = {}
         pending: dict[int, EvalJob] = {}
+        queued: list[tuple[int, EvalJob, tuple]] = []
+        batch = self._next_id
         for job, key in zip(jobs, keys):
             if key in ids:
                 self.coalesced += 1
                 continue
             ids[key] = self._next_id
             pending[self._next_id] = job
-            self._job_queue.put((self._next_id, job, time.monotonic()))
+            queued.append((self._next_id, job, key))
             self._next_id += 1
         self.submitted += len(pending)
+        # Jobs on one accelerator share its engine and can share search
+        # problems (those of one workload most): queue them together,
+        # accelerators and workloads in order of first appearance.
+        accelerators: dict = {}
+        workloads: dict = {}
+        queued.sort(
+            key=lambda item: (
+                accelerators.setdefault(item[2][0], len(accelerators)),
+                workloads.setdefault(item[2][1], len(workloads)),
+            )
+        )
+        start = 0
+        for size in chunk_sizes(len(queued), self.shards):
+            chunk = queued[start : start + size]
+            start += size
+            self._job_queue.put(
+                (
+                    batch,
+                    [job_id for job_id, _, _ in chunk],
+                    [job for _, job, _ in chunk],
+                    [(id(job.accelerator), id(job.workload)) for _, job, _ in chunk],
+                    time.monotonic(),
+                )
+            )
 
         outcomes: dict[int, tuple] = {}
         while pending:
             try:
-                job_id, result, error, entries, lookups, telemetry = (
+                job_ids, chunk, entries, lookups, telemetry = (
                     self._result_queue.get(timeout=_LIVENESS_INTERVAL)
                 )
             except queue.Empty:
@@ -309,15 +403,16 @@ class EvalService:
                 self.cache.merge(entries)
             self.cache.hits += lookups[0]
             self.cache.misses += lookups[1]
-            if pending.pop(job_id, None) is None:
-                continue  # a result of an earlier, abandoned batch
-            outcomes[job_id] = (result, error)
-            if error is None:
-                self.completed += 1
-            else:
-                self.errors += 1
-                if obs.enabled:
-                    obs.metrics().counter("service_errors_total").inc()
+            for job_id, outcome in zip(job_ids, chunk):
+                if pending.pop(job_id, None) is None:
+                    continue  # a result of an earlier, abandoned batch
+                outcomes[job_id] = outcome
+                if outcome[1] is None:
+                    self.completed += 1
+                else:
+                    self.errors += 1
+                    if obs.enabled:
+                        obs.metrics().counter("service_errors_total").inc()
 
         results = []
         for key in keys:

@@ -1,6 +1,7 @@
 """EvalService tests: lifecycle, in-batch dedup, error propagation,
 shard death, and the executor's service backend."""
 
+import pickle
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro import obs
 from repro.core.strategy import DFStrategy, OverlapMode
 from repro.explore import EvalJob, Executor, MappingCache, SweepSpec
+from repro.explore.executor import _JobRunner
 from repro.serve import (
     CacheClient,
     CacheServer,
@@ -15,6 +17,7 @@ from repro.serve import (
     ServiceError,
     job_key,
 )
+from repro.serve.service import _run_chunk, _shared_refs, chunk_sizes
 
 from ..conftest import make_tiny_workload
 
@@ -220,7 +223,7 @@ class TestEvaluation:
         expected = Executor(jobs=1, search_config=fast_config).run([second])
         with EvalService(shards=1, search_config=fast_config) as service:
             (late,) = service.map([first])
-            service._result_queue.put((0, late, None, {}, (0, 0), None))
+            service._result_queue.put(([0], [(late, None)], {}, (0, 0), None))
             (result,) = service.map([second])
             assert service.completed == 2
         assert result.total == expected[0].result.total
@@ -326,3 +329,88 @@ class TestExecutorServiceBackend:
                     assert ex.service.server_address == srv.address
                 # Every stored entry was put after a miss in some shard.
                 assert client.misses >= len(shared) > 0
+
+
+class TestChunks:
+    """``map`` queues each batch's distinct jobs in shrinking job-order
+    chunks, grouped by accelerator; a shard runs a chunk as one batch."""
+
+    def test_chunk_sizes_shrink_to_single_jobs(self):
+        assert chunk_sizes(75, 2) == [19, 14, 11, 8, 6, 5, 3, 3, 2, 1, 1, 1, 1]
+        assert chunk_sizes(0, 2) == []
+        for shards in (1, 2, 3, 8):
+            for count in range(1, 60):
+                sizes = chunk_sizes(count, shards)
+                assert sum(sizes) == count
+                assert sizes == sorted(sizes, reverse=True)
+                assert sizes[0] == -(-count // (2 * shards))
+                assert sizes[-1] == 1
+
+    def test_chunks_group_jobs_by_accelerator(self, tiny, fast_config):
+        """Queued chunks hold each accelerator's jobs together, in order
+        of first appearance and in job order within one accelerator;
+        results still come back in job order, equal to serial."""
+        jobs = [
+            EvalJob(
+                accelerator=accelerator,
+                workload=tiny,
+                strategy=DFStrategy(tile_x=tile, tile_y=tile),
+            )
+            for tile in (4, 8, 16)
+            for accelerator in ("meta_proto_like_df", "tpu_like_df")
+        ]
+        expected = Executor(jobs=1, search_config=fast_config).run(jobs)
+        with EvalService(shards=2, search_config=fast_config) as service:
+            queued = []
+            put = service._job_queue.put
+
+            def record(item):
+                queued.append(item)
+                put(item)
+
+            service._job_queue.put = record
+            results = service.map(jobs)
+            del service._job_queue.put  # stop() queues its sentinels
+        assert [len(item[2]) for item in queued] == chunk_sizes(len(jobs), 2)
+        order = [job_id for item in queued for job_id in item[1]]
+        assert order == [0, 2, 4, 1, 3, 5]
+        assert all(item[0] == 0 for item in queued)
+        assert [r.total for r in results] == [r.result.total for r in expected]
+
+    def test_a_failed_job_leaves_the_rest_of_its_chunk_alone(self, tiny, fast_config):
+        """A chunk runs as one batch; after a job fails, the rest runs
+        as a new batch, each result equal to the job evaluated alone."""
+        good = [tiny_job(tile, workload=tiny) for tile in (4, 16)]
+        bad = EvalJob(
+            accelerator="no_such_accelerator",
+            workload="fsrcnn",
+            strategy=DFStrategy(tile_x=4, tile_y=4),
+        )
+        runner = _JobRunner(fast_config, None, MappingCache())
+        outcomes = _run_chunk(runner, [good[0], bad, good[1]], 3)
+        assert [error is None for _, error in outcomes] == [True, False, True]
+        assert outcomes[1][1].startswith("shard 3:")
+        assert "no_such_accelerator" in outcomes[1][1]
+        alone = _JobRunner(fast_config, None, MappingCache())
+        assert [outcomes[0][0].total, outcomes[2][0].total] == [
+            alone.evaluate(job).total for job in good
+        ]
+        assert not runner._planned
+        assert not any(e.mapper._solved for e in runner._engines.values())
+
+    def test_a_batch_shares_one_copy_per_object(self, tiny):
+        """Chunks arrive as separate pickles, so each holds its own copy
+        of a shared object; a shard swaps in the batch's first copy."""
+        jobs = [tiny_job(tile, workload=tiny) for tile in (4, 8, 16)]
+        refs = [(id(job.accelerator), id(job.workload)) for job in jobs]
+        first = pickle.loads(pickle.dumps(jobs[:1]))
+        rest = pickle.loads(pickle.dumps(jobs[1:]))
+        assert rest[0].workload is not first[0].workload
+        copies = {}
+        shared = [
+            _shared_refs(job, ids, copies) for job, ids in zip(first + rest, refs)
+        ]
+        assert shared[0] is first[0]
+        assert all(job.workload is first[0].workload for job in shared)
+        assert [job.accelerator for job in shared] == ["meta_proto_like_df"] * 3
+        assert [job.strategy for job in shared] == [job.strategy for job in jobs]
