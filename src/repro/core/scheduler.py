@@ -78,14 +78,6 @@ class ProblemTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def problem(
-        self, geom: LayerTileGeometry, tops: Mapping[str, int]
-    ) -> tuple[LayerSpec, str]:
-        """``geom``'s scaled layer and its normalized cache key at
-        ``tops``, built only on a miss."""
-        _, scaled, key = self.entry(geom, tops)
-        return scaled, key
-
     def entry(
         self, geom: LayerTileGeometry, tops: Mapping[str, int]
     ) -> tuple[LayerSpec, LayerSpec, str]:

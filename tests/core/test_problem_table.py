@@ -31,6 +31,12 @@ from .test_memlevels_reference import MODES, TILES
 ACCELERATORS = ["meta_proto_like_df", "tpu_like"]
 
 
+def scaled_and_key(table, geom, tops):
+    """``table``'s scaled layer and cache key for the problem."""
+    _, scaled, key = table.entry(geom, tops)
+    return scaled, key
+
+
 def fresh(engine, geom, tops):
     """What the search path built for every layer-tile before the table."""
     scaled = geom.scaled_layer()
@@ -56,7 +62,8 @@ def planned_searches(engine):
                         for idx, (_, scaled, key) in zip(
                             tile_plan.computed, tile_plan.problems
                         ):
-                            found.append((geometry[idx], layer_tops[idx].tops, scaled, key))
+                            tops = layer_tops[idx].tops
+                            found.append((geometry[idx], tops, scaled, key))
     return found
 
 
@@ -71,7 +78,7 @@ def test_zoo_entries_equal_a_fresh_build(name):
         assert (scaled, key) == fresh(engine, geom, tops)
         assert scaled.name == geom.layer.name
         # A hit returns the objects the miss built.
-        again = engine.problems.problem(geom, tops)
+        again = scaled_and_key(engine.problems, geom, tops)
         assert again[0] is scaled and again[1] is key
 
 
@@ -111,9 +118,10 @@ def test_each_key_component_separates_problems(meta_df, component):
     engine = DepthFirstEngine(meta_df)
     base = problem()
     variant = problem(**VARIANTS[component])
-    assert engine.problems.problem(*base) == fresh(engine, *base)
-    assert engine.problems.problem(*variant) == fresh(engine, *variant)
-    assert engine.problems.problem(*base) != engine.problems.problem(*variant)
+    assert scaled_and_key(engine.problems, *base) == fresh(engine, *base)
+    assert scaled_and_key(engine.problems, *variant) == fresh(engine, *variant)
+    table = engine.problems
+    assert scaled_and_key(table, *base) != scaled_and_key(table, *variant)
     assert len(engine.problems) == 2
 
 
@@ -123,8 +131,8 @@ def test_equal_layers_keep_their_own_names(meta_df):
     (and the errors it raises) carries its own name."""
     engine = DepthFirstEngine(meta_df)
     renamed = dataclasses.replace(CONV, name="twin")
-    first, first_key = engine.problems.problem(*problem())
-    twin, twin_key = engine.problems.problem(*problem(layer=renamed))
+    first, first_key = scaled_and_key(engine.problems, *problem())
+    twin, twin_key = scaled_and_key(engine.problems, *problem(layer=renamed))
     assert (first.name, twin.name) == ("conv", "twin")
     assert first_key == twin_key  # the cache key ignores the name
 
@@ -133,12 +141,12 @@ def test_bound_evicts_oldest_first(meta_df, monkeypatch):
     monkeypatch.setattr(ProblemTable, "BOUND", 2)
     table = DepthFirstEngine(meta_df).problems
     problems = [problem(w=w) for w in (1, 2, 3)]
-    built = [table.problem(*p) for p in problems]
+    built = [scaled_and_key(table, *p) for p in problems]
     assert len(table) == 2
     # The oldest was evicted: its lookup rebuilds the same key, and
     # evicts the next oldest in turn.
-    again = table.problem(*problems[0])
+    again = scaled_and_key(table, *problems[0])
     assert again == built[0] and again[0] is not built[0][0]
-    assert table.problem(*problems[2])[0] is built[2][0]
-    assert table.problem(*problems[1])[0] is not built[1][0]
+    assert scaled_and_key(table, *problems[2])[0] is built[2][0]
+    assert scaled_and_key(table, *problems[1])[0] is not built[1][0]
     assert len(table) == 2
