@@ -19,7 +19,7 @@ from repro.serve import (
 )
 from repro.serve.service import _run_chunk, _shared_refs, chunk_sizes
 
-from ..conftest import make_tiny_workload
+from ..conftest import make_branchy_workload, make_tiny_workload
 
 TILES = ((4, 4), (16, 16))
 MODES = (OverlapMode.FULLY_CACHED, OverlapMode.FULLY_RECOMPUTE)
@@ -414,3 +414,18 @@ class TestChunks:
         assert all(job.workload is first[0].workload for job in shared)
         assert [job.accelerator for job in shared] == ["meta_proto_like_df"] * 3
         assert [job.strategy for job in shared] == [job.strategy for job in jobs]
+
+    def test_object_copies_last_one_batch(self, tiny, fast_config):
+        """A shard keys its copies by the caller's ``id()``, which a
+        later batch may give another object: each batch starts without
+        copies."""
+        branchy = make_branchy_workload()
+        jobs = [tiny_job(4, workload=tiny), tiny_job(4, workload=branchy)]
+        with EvalService(shards=1, search_config=fast_config) as service:
+            for batch, job in enumerate(jobs):
+                # Both jobs claim the same caller id for their workload.
+                item = (batch, [batch], [job], [(0, 1)], time.monotonic())
+                service._job_queue.put(item)
+                job_ids, outcomes, *_ = service._result_queue.get(timeout=60)
+                assert job_ids == [batch]
+                assert outcomes[0][0].workload_name == job.workload.name
