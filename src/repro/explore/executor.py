@@ -85,10 +85,9 @@ class _JobRunner:
     service shard one for its own, so engines (their problem tables and
     known-infeasible problems) and resolved zoo objects carry over from
     batch to batch.  Object references memoize by ``id()``, which a
-    service shard sees fresh in every service batch (one copy per
-    object and batch, shared by the batch's chunks) — so both memos are
-    capacity-bounded (oldest out) to keep a long-lived runner's memory
-    flat; zoo-name references always re-hit their entry.  An entry holds
+    service shard sees fresh in every chunk it unpickles — so both memos
+    are capacity-bounded (oldest out) to keep a long-lived runner's
+    memory flat; zoo-name references always re-hit their entry.  An entry holds
     its object (an engine its accelerator), so no other object can take
     that ``id()`` while the entry lives.
     """

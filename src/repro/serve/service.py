@@ -14,9 +14,9 @@ multi-job batch with ``jobs > 1`` through it:
 * **chunks** — ``map`` queues the distinct jobs in chunks of shrinking
   size (:func:`chunk_sizes`), each accelerator's jobs together; a shard
   runs each chunk it takes as one executor batch, scoring the chunk's
-  cache misses together on engines it shares with the batch's other
-  chunks, while the small last chunks keep the shards finishing
-  together;
+  cache misses together (one pickle per chunk, so its jobs share their
+  objects and engines), while the small last chunks keep the shards
+  finishing together;
 * **cache flow** — each shard searches against a local
   :class:`MappingCache` pre-warmed at :meth:`EvalService.start` with
   the caller cache's entries; every result carries the entries its job
@@ -34,7 +34,6 @@ run of the same jobs.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import math
 import multiprocessing as mp
@@ -89,20 +88,6 @@ def chunk_sizes(count: int, shards: int) -> list[int]:
     return sizes
 
 
-def _shared_refs(job: "EvalJob", refs: tuple, copies: dict) -> "EvalJob":
-    """``job`` with each object reference replaced by the first copy of
-    the same caller object (``refs`` holds the caller's ``id()`` of
-    each) that this shard unpickled in the running batch, so the
-    batch's chunks share one engine and workload per object."""
-    accelerator, workload = (
-        ref if isinstance(ref, str) else copies.setdefault(key, ref)
-        for ref, key in zip((job.accelerator, job.workload), refs)
-    )
-    if accelerator is job.accelerator and workload is job.workload:
-        return job
-    return dataclasses.replace(job, accelerator=accelerator, workload=workload)
-
-
 def _run_chunk(runner, jobs: list, shard_index: int) -> list[tuple]:
     """``(result, error)`` for each job of a chunk, run as one batch
     (``_JobRunner.run``).  Each job's evaluation runs with the cyclic
@@ -138,14 +123,11 @@ def _service_worker_main(
     cache_source,
     obs_enabled: bool = False,
 ) -> None:
-    """Pull ``(batch, job_ids, jobs, refs, submit_time)`` chunks until
-    the ``None`` sentinel and run each as one batch.  ``cache_source`` is
-    either the caller cache's entries, which pre-warm this shard's local
+    """Pull ``(job_ids, jobs, submit_time)`` chunks until the ``None``
+    sentinel and run each as one batch.  ``cache_source`` is either the
+    caller cache's entries, which pre-warm this shard's local
     :class:`MappingCache`, or the address of the cache server whose
-    table the shards share.  ``refs`` holds the caller's ``id()`` of
-    each job's accelerator and workload: within one ``batch`` a shard
-    evaluates every chunk on its first copy of each object
-    (:func:`_shared_refs`).
+    table the shards share.
 
     Each chunk gets one result message ``(job_ids, outcomes, entries,
     lookups, telemetry)``: a ``(result, error)`` per job, the cache
@@ -176,16 +158,12 @@ def _service_worker_main(
     else:
         cache, known = CacheClient(cache_source), None
     runner = _JobRunner(search_config, policy, cache)
-    running, copies = None, {}
     try:
         while True:
             item = job_queue.get()
             if item is None:
                 break
-            batch, job_ids, jobs, refs, t_submit = item
-            if batch != running:
-                running, copies = batch, {}
-            jobs = [_shared_refs(job, ids, copies) for job, ids in zip(jobs, refs)]
+            job_ids, jobs, t_submit = item
             t_start = time.monotonic()
             hits, misses = cache.hits, cache.misses
             outcomes = _run_chunk(runner, jobs, shard_index)
@@ -353,7 +331,6 @@ class EvalService:
         ids: dict[tuple, int] = {}
         pending: dict[int, EvalJob] = {}
         queued: list[tuple[int, EvalJob, tuple]] = []
-        batch = self._next_id
         for job, key in zip(jobs, keys):
             if key in ids:
                 self.coalesced += 1
@@ -380,10 +357,8 @@ class EvalService:
             start += size
             self._job_queue.put(
                 (
-                    batch,
                     [job_id for job_id, _, _ in chunk],
                     [job for _, job, _ in chunk],
-                    [(id(job.accelerator), id(job.workload)) for _, job, _ in chunk],
                     time.monotonic(),
                 )
             )

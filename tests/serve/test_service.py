@@ -1,7 +1,6 @@
 """EvalService tests: lifecycle, in-batch dedup, error propagation,
 shard death, and the executor's service backend."""
 
-import pickle
 import time
 
 import pytest
@@ -17,9 +16,9 @@ from repro.serve import (
     ServiceError,
     job_key,
 )
-from repro.serve.service import _run_chunk, _shared_refs, chunk_sizes
+from repro.serve.service import _run_chunk, chunk_sizes
 
-from ..conftest import make_branchy_workload, make_tiny_workload
+from ..conftest import make_tiny_workload
 
 TILES = ((4, 4), (16, 16))
 MODES = (OverlapMode.FULLY_CACHED, OverlapMode.FULLY_RECOMPUTE)
@@ -371,10 +370,9 @@ class TestChunks:
             service._job_queue.put = record
             results = service.map(jobs)
             del service._job_queue.put  # stop() queues its sentinels
-        assert [len(item[2]) for item in queued] == chunk_sizes(len(jobs), 2)
-        order = [job_id for item in queued for job_id in item[1]]
+        assert [len(item[1]) for item in queued] == chunk_sizes(len(jobs), 2)
+        order = [job_id for item in queued for job_id in item[0]]
         assert order == [0, 2, 4, 1, 3, 5]
-        assert all(item[0] == 0 for item in queued)
         assert [r.total for r in results] == [r.result.total for r in expected]
 
     def test_a_failed_job_leaves_the_rest_of_its_chunk_alone(self, tiny, fast_config):
@@ -397,35 +395,3 @@ class TestChunks:
         ]
         assert not runner._planned
         assert not any(e.mapper._solved for e in runner._engines.values())
-
-    def test_a_batch_shares_one_copy_per_object(self, tiny):
-        """Chunks arrive as separate pickles, so each holds its own copy
-        of a shared object; a shard swaps in the batch's first copy."""
-        jobs = [tiny_job(tile, workload=tiny) for tile in (4, 8, 16)]
-        refs = [(id(job.accelerator), id(job.workload)) for job in jobs]
-        first = pickle.loads(pickle.dumps(jobs[:1]))
-        rest = pickle.loads(pickle.dumps(jobs[1:]))
-        assert rest[0].workload is not first[0].workload
-        copies = {}
-        shared = [
-            _shared_refs(job, ids, copies) for job, ids in zip(first + rest, refs)
-        ]
-        assert shared[0] is first[0]
-        assert all(job.workload is first[0].workload for job in shared)
-        assert [job.accelerator for job in shared] == ["meta_proto_like_df"] * 3
-        assert [job.strategy for job in shared] == [job.strategy for job in jobs]
-
-    def test_object_copies_last_one_batch(self, tiny, fast_config):
-        """A shard keys its copies by the caller's ``id()``, which a
-        later batch may give another object: each batch starts without
-        copies."""
-        branchy = make_branchy_workload()
-        jobs = [tiny_job(4, workload=tiny), tiny_job(4, workload=branchy)]
-        with EvalService(shards=1, search_config=fast_config) as service:
-            for batch, job in enumerate(jobs):
-                # Both jobs claim the same caller id for their workload.
-                item = (batch, [batch], [job], [(0, 1)], time.monotonic())
-                service._job_queue.put(item)
-                job_ids, outcomes, *_ = service._result_queue.get(timeout=60)
-                assert job_ids == [batch]
-                assert outcomes[0][0].workload_name == job.workload.name
