@@ -22,11 +22,11 @@ survive interruption and repeated runs refine rather than restart.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .. import atomic
 from .space import DesignPoint
 
 #: On-disk checkpoint format; bump when the encoding changes.
@@ -330,14 +330,9 @@ class ParetoFrontier:
         return frontier
 
     def save(self, path: str | Path) -> Path:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic replace, like the runner's checkpoint: never tear the
-        # file an interrupted run will resume from.
-        scratch = target.with_suffix(target.suffix + ".tmp")
-        scratch.write_text(json.dumps(self.to_json()))
-        os.replace(scratch, target)
-        return target
+        # Atomic, like the runner's checkpoint: never tear the file an
+        # interrupted run will resume from.
+        return atomic.write_text(path, json.dumps(self.to_json()))
 
     @classmethod
     def load(cls, path: str | Path) -> "ParetoFrontier":

@@ -39,13 +39,12 @@ The runner owns the loop glue that every search strategy shares:
 from __future__ import annotations
 
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .. import obs
+from .. import atomic, obs
 from ..explore.executor import Executor
 from ..explore.spec import EvalJob
 from ..mapping.cost import resolve_objective
@@ -625,9 +624,6 @@ class DSERunner:
                 for point, values, violation in seen.values()
             ],
         }
-        self.checkpoint.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic replace: an interrupt mid-write must never tear the
-        # checkpoint the next run resumes from.
-        scratch = self.checkpoint.with_suffix(self.checkpoint.suffix + ".tmp")
-        scratch.write_text(json.dumps(payload))
-        os.replace(scratch, self.checkpoint)
+        # Atomic: an interrupt mid-write must never tear the checkpoint
+        # the next run resumes from.
+        atomic.write_text(self.checkpoint, json.dumps(payload))

@@ -61,10 +61,7 @@ import math
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
-try:  # gated: the scalar engine keeps working without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    np = None
+import numpy as np
 
 from ..hardware.accelerator import Accelerator
 from ..workloads.layer import LayerSpec
@@ -87,14 +84,6 @@ from .temporal import (
 #: engine refuses (falls back to scalar) rather than risk divergence.
 _EXACT = float(1 << 53)
 
-#: Error raised when numpy is missing but the batch engine is selected.
-NUMPY_ERROR = (
-    "numpy (>=1.22) is required by the batched mapping engine, the default "
-    "SearchConfig.engine='batch'; install it, or select the pure-python "
-    "reference path with SearchConfig(engine=\"scalar\") "
-    "(or `--engine scalar` on the CLI)"
-)
-
 
 class BatchFallback(Exception):
     """The vectorized path cannot guarantee bit-identical floats for this
@@ -102,17 +91,12 @@ class BatchFallback(Exception):
     reference engine instead — correctness is never at stake."""
 
 
-def _require_numpy() -> None:
-    if np is None:
-        raise RuntimeError(NUMPY_ERROR)
-
-
 class RowSet:
     """One problem's candidate rows with their prefix index.
 
     ``rows`` are the row tuples, all permuting one symbol multiset.
     :meth:`index` encodes them for the kernel; it is built on first use,
-    so the scalar engine never needs numpy, and kept, so a memoized row
+    so the scalar engine never builds it, and kept, so a memoized row
     set is encoded once.  A row set is a sequence of its rows.
     """
 
@@ -472,10 +456,7 @@ def evaluate_candidates(
     ordering is feasible.  A named objective picks every problem's
     winner in one pass over the call's rows, without an evaluation per
     problem; a callable one scores each materialized candidate.
-
-    Both raise ``RuntimeError`` when numpy is unavailable.
     """
-    _require_numpy()
     single = isinstance(layer, LayerSpec)
     if single:
         layers, rows = (layer,), CandidateRows.from_orderings(list(candidates))

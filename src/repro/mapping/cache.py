@@ -27,7 +27,7 @@ import warnings
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping
 
-from .. import collector, obs
+from .. import atomic, collector, obs
 
 try:
     import fcntl
@@ -311,7 +311,8 @@ class MappingCache:
 
         The write is crash- and concurrency-safe: the payload lands in a
         process-unique temp file first and is moved into place with
-        ``os.replace``, so readers never observe a torn file.  With
+        ``os.replace`` (:func:`repro.atomic.write_text`), so readers
+        never observe a torn file.  With
         ``merge`` (the default), entries already on disk that this cache
         does not know are adopted before writing, and the whole
         read-merge-write runs under an exclusive inter-process lock (a
@@ -349,15 +350,7 @@ class MappingCache:
                     for key, result in self._entries.items()
                 },
             }
-            scratch = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-            try:
-                scratch.write_text(json.dumps(payload))
-                os.replace(scratch, target)
-            finally:
-                # A failed replace (or an exception between the two
-                # calls) must not leave temp litter next to the file.
-                if scratch.exists():
-                    scratch.unlink()
+            atomic.write_text(target, json.dumps(payload))
         return target
 
     @staticmethod

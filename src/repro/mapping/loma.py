@@ -79,9 +79,8 @@ class SearchConfig:
     Both produce bit-identical :class:`SearchResult`s — the batch path
     mirrors every scalar float operation and falls back to scalar
     whenever exactness cannot be guaranteed — so the knob is purely a
-    speed/dependency trade-off and deliberately *not* part of
-    :meth:`cache_token`: caches written by one engine are valid for the
-    other.
+    speed trade-off and deliberately *not* part of :meth:`cache_token`:
+    caches written by one engine are valid for the other.
     """
 
     lpf_limit: int = 6
@@ -92,7 +91,7 @@ class SearchConfig:
     #: Fields that cannot affect results and are therefore excluded
     #: from :meth:`cache_token` (checked by ``repro check`` CACHE001):
     #: the engines are bit-identical by contract, so ``engine`` is a
-    #: pure speed/dependency knob.
+    #: pure speed knob.
     NON_SEMANTIC = frozenset({"engine"})
 
     def __post_init__(self) -> None:
@@ -291,13 +290,6 @@ class MappingSearchEngine:
             self.config.cache_token(),
         )
 
-    @property
-    def cache_size(self) -> int:
-        return len(self.cache)
-
-    def clear_cache(self) -> None:
-        self.cache.clear()
-
     # ------------------------------------------------------------------
     def search(
         self,
@@ -316,23 +308,25 @@ class MappingSearchEngine:
         the caller already holds it (:meth:`solve` returns them).  A
         cache miss that :meth:`solve` already scored takes the held
         winner, and one this engine found infeasible before takes that
-        outcome, instead of scoring again.
+        outcome, instead of scoring again; any other miss is scored
+        alone.  A search given an ``objective`` is scored alone, past
+        the cache and the held outcomes.
         """
         if tops is None:
             tops = {op: accel.top_level_index(op) for op in ("W", "I", "O")}
-        text = solved = None
-        if objective is None:
+        if objective is not None:
+            member = (layer, *self._candidate_rows(layer, accel))
+            solved = self._score(accel, tops, [member], objective)[0]
+        else:
             if key is None:
                 key = normalize_key(self.cache_key(layer, accel, tops))
-            text = key
-            hit = self.cache.get(text)
+            hit = self.cache.get(key)
             if hit is not None:
                 return hit
-            solved = self._solved.pop(text, None) or self._infeasible.get(text)
-        if solved is None:
-            solved = self._run(layer, accel, tops, objective or self.config.objective)
-            if text is not None:
-                self._remember(text, solved)
+            solved = self._solved.pop(key, None) or self._infeasible.get(key)
+            if solved is None:
+                self._solve_grouped(accel, {key: (layer, tops)})
+                solved = self._solved.pop(key)
         best, engine, fell_back = solved
         if obs.enabled:
             # Telemetry only — counters never feed back into the search.
@@ -350,8 +344,8 @@ class MappingSearchEngine:
                 f"no feasible mapping for {layer.name} on {accel.name} "
                 f"with tops {dict(tops)}"
             )
-        if text is not None:
-            self.cache.put(text, best)
+        if objective is None:
+            self.cache.put(key, best)
         return best
 
     def _candidate_rows(
@@ -365,19 +359,6 @@ class MappingSearchEngine:
         table, pattern, canonical = _loop_rows(sizes, self.config.lpf_limit)
         return table, _row_set(pattern, canonical, self.config.budget)
 
-    def _run(
-        self,
-        layer: LayerSpec,
-        accel: Accelerator,
-        tops: Mapping[str, int],
-        objective: str | Objective,
-    ) -> tuple[SearchResult | None, str, bool]:
-        """Score one problem alone: ``(winner, engine, fell_back)``."""
-        table, rows = self._candidate_rows(layer, accel)
-        if self.config.engine == "batch":
-            return self._score(accel, tops, [(layer, table, rows)], objective)[0]
-        return self._scalar(layer, accel, tops, table, rows, objective), "scalar", False
-
     def _score(
         self,
         accel: Accelerator,
@@ -386,10 +367,20 @@ class MappingSearchEngine:
         objective: str | Objective,
     ) -> list[tuple[SearchResult | None, str, bool]]:
         """Score problems ``(layer, table, rows)`` that share a kernel
-        signature in one call, which picks each one's winner:
-        ``(winner, engine, fell_back)`` each.  A problem the kernel
-        cannot score exactly runs on the scalar engine, as it would
-        alone."""
+        signature, each to ``(winner, engine, fell_back)``: on the
+        scalar reference under ``engine="scalar"``, otherwise in one
+        kernel call that picks each one's winner, a problem the kernel
+        cannot score exactly running on the scalar reference as it
+        would alone.  The one place a search's engine is picked."""
+        if self.config.engine == "scalar":
+            return [
+                (
+                    self._scalar(layer, accel, tops, table, rows, objective),
+                    "scalar",
+                    False,
+                )
+                for layer, table, rows in members
+            ]
         rows = CandidateRows.from_sets(
             [table for _, table, _ in members],
             [member_rows for *_, member_rows in members],
@@ -427,15 +418,15 @@ class MappingSearchEngine:
         iterated once).  The distinct misses are grouped by (tops,
         active operands, loop count, whether ``K`` indexes ``I``) and
         each group is scored in calls of at most :data:`GROUP_ROWS`
-        rows.  A problem with no feasible ordering is solved again with
-        the next of its :func:`raised_tops`; one this engine already
-        found infeasible is held as such unscored.
+        rows.  Problems this engine already found infeasible are left
+        to :meth:`search`, which holds their outcome, and the raised
+        tops a failed search tries next are scored by that search.
 
         Nothing touches the cache here: the membership test counts no
         hit or miss, and each winner is put by the :meth:`search` that
         takes it, so cache contents, order and statistics stay those of
-        one-at-a-time searches.  The scalar engine and caches without a
-        local membership test (a cache client) score at search time.
+        one-at-a-time searches.  A cache without a local membership
+        test (a cache client) scores each miss at search time.
         """
         from .cache import MappingCache
 
@@ -446,38 +437,13 @@ class MappingSearchEngine:
                 for layer, tops in problems
             ]
         self._solved.clear()
-        if self.config.engine != "batch" or not isinstance(self.cache, MappingCache):
+        if not isinstance(self.cache, MappingCache):
             return keys
-        # Each chain walks one distinct uncached problem's tops: the
-        # planned ones, then raised_tops(planned) while the current tops
-        # are infeasible.  Chains are keyed by the current tops' key.
-        chains: dict[str, tuple] = {}
-        for (layer, tops), key in zip(problems, keys):
-            if key not in chains and key not in self.cache:
-                chains[key] = (layer, tops, None)
-        while chains:
-            misses: dict[str, tuple[LayerSpec, Mapping[str, int]]] = {}
-            for key, (layer, tops, _) in chains.items():
-                if key in self._solved:
-                    continue
-                known = self._infeasible.get(key)
-                if known is not None:
-                    self._solved[key] = known
-                else:
-                    misses[key] = (layer, tops)
-            self._solve_grouped(accel, misses)
-            infeasible: dict[str, tuple] = {}
-            for key, (layer, tops, raised) in chains.items():
-                if self._solved[key][0] is not None:
-                    continue
-                if raised is None:
-                    raised = raised_tops(accel, tops)
-                if raised:
-                    tops = raised[0]
-                    key = normalize_key(self.cache_key(layer, accel, tops))
-                    if key not in infeasible and key not in self.cache:
-                        infeasible[key] = (layer, tops, raised[1:])
-            chains = infeasible
+        misses: dict[str, tuple[LayerSpec, Mapping[str, int]]] = {}
+        for problem, key in zip(problems, keys):
+            if not (key in misses or key in self._infeasible or key in self.cache):
+                misses[key] = problem
+        self._solve_grouped(accel, misses)
         return keys
 
     def search_all(
@@ -518,15 +484,6 @@ class MappingSearchEngine:
     def drop_solved(self) -> None:
         """Drop the winners :meth:`solve` holds that no search took."""
         self._solved.clear()
-
-    def _remember(
-        self, key: str, solved: tuple[SearchResult | None, str, bool]
-    ) -> None:
-        """Keep ``key``'s outcome if it is infeasible (bounded)."""
-        if solved[0] is None and key not in self._infeasible:
-            self._infeasible[key] = solved
-            if len(self._infeasible) > INFEASIBLE_BOUND:
-                del self._infeasible[next(iter(self._infeasible))]
 
     def _search_raised(
         self,
@@ -578,7 +535,10 @@ class MappingSearchEngine:
                 )
                 for (key, _), result in zip(chunk, results):
                     self._solved[key] = result
-                    self._remember(key, result)
+                    if result[0] is None:  # never cached: keep it (bounded)
+                        self._infeasible[key] = result
+                        if len(self._infeasible) > INFEASIBLE_BOUND:
+                            del self._infeasible[next(iter(self._infeasible))]
 
     def _scalar(
         self,

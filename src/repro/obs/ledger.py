@@ -14,7 +14,8 @@ Crash capture is the load-bearing design point: the record is written
 finish, so a run that raises (finished by the CLI's run scope as
 ``crashed``, or ``interrupted`` on Ctrl-C) or is SIGKILLed outright
 (left as ``running``) still leaves a ledger entry.  Writes are
-tmp-file + ``os.replace`` so readers never see a half-written record.
+atomic (:func:`repro.atomic.write_text`) so readers never see a
+half-written record.
 
 Knobs: ``REPRO_RUNS_DIR`` relocates the ledger directory (tests and CI
 point it at a tmp dir), ``REPRO_LEDGER=0`` disables it, and the CLI
@@ -33,6 +34,8 @@ import socket
 import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping
+
+from .. import atomic
 
 #: Bump when the record shape changes incompatibly.
 LEDGER_FORMAT_VERSION = 1
@@ -139,10 +142,7 @@ class RunHandle:
         # No ``indent``: only the unindented encoding runs json's C
         # encoder; the pure-Python one leaves closure cycles for the
         # collector on every rewrite (DESIGN.md §5.6).
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f"{self.path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(self.record, sort_keys=True))
-        os.replace(tmp, self.path)
+        atomic.write_text(self.path, json.dumps(self.record, sort_keys=True))
 
 
 def begin_run(

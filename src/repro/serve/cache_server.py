@@ -497,9 +497,10 @@ class CacheClient:
             )
 
     def clear(self) -> None:
-        """Drop the *local* read cache and counters (the engine-facing
-        ``clear_cache`` surface).  The server's table is shared by other
-        clients and runs, so it is deliberately left untouched."""
+        """Drop the *local* read cache and counters, as
+        :meth:`MappingCache.clear` drops its entries.  The server's table
+        is shared by other clients and runs, so it is deliberately left
+        untouched."""
         self._local.clear()
         self.hits = 0
         self.misses = 0

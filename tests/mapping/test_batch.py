@@ -225,14 +225,6 @@ class TestEngineKnob:
         with pytest.raises(BatchFallback):
             evaluate_candidates(layer, accel, tops, huge)
 
-    def test_missing_numpy_names_scalar_fallback(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "np", None)
-        accel = get_accelerator("meta_proto_like_df")
-        layer = get_workload("fsrcnn").layers()[0]
-        engine = MappingSearchEngine(SearchConfig(engine="batch", budget=20))
-        with pytest.raises(RuntimeError, match=r'engine="scalar"'):
-            engine.search(layer, accel)
-
     def test_scorers_cover_every_named_objective(self):
         """A new named objective in cost.py silently falls back to the
         per-candidate path; keep the fast scorer table in sync."""

@@ -5,7 +5,8 @@ active operands, loop count and whether ``K`` indexes ``I``, with every
 other layer parameter per row.  Each member must get exactly what
 scoring it alone gives, so nothing may leak between problems; and
 ``MappingSearchEngine.solve`` must leave cache contents, order and
-statistics exactly as one-at-a-time searches leave them.
+statistics exactly as one-at-a-time searches leave them, on either
+engine and when the kernel falls back.
 """
 
 import math
@@ -14,6 +15,10 @@ import random
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.core import scheduler
+from repro.core.strategy import DFStrategy, OverlapMode
+from repro.explore import EvalJob, Executor
 from repro.hardware.zoo import get_accelerator
 from repro.mapping import loma
 from repro.mapping.allocation import AllocationError, active_operands
@@ -346,22 +351,35 @@ class TestSolve:
             assert len(plain) == len(call) == sum(map(len, call.sets))
             assert plain.counts == call.counts
 
-    def test_scalar_engine_and_warm_cache_score_nothing_ahead(self):
+    def test_scalar_engine_solves_ahead_and_warm_cache_holds_nothing(self, tmp_path):
+        """A scalar-engine solve holds every uncached problem's outcome,
+        scored on the scalar reference; one search per problem after it
+        leaves what one-at-a-time searches leave, saved bytes included;
+        a warm solve holds nothing (winners are cached, infeasible
+        outcomes kept by the engine)."""
         accel = get_accelerator("meta_proto_like_df")
         problems = zoo_problems(accel)
-        engine = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=40, engine="scalar"))
+        config = SearchConfig(lpf_limit=5, budget=40, engine="scalar")
+        engine = MappingSearchEngine(config)
         keys = engine.solve(accel, problems)
-        assert not engine._solved and engine.cache.stats["misses"] == 0
         assert keys == [
             loma.normalize_key(engine.cache_key(layer, accel, tops))
             for layer, tops in problems
         ]
-        engine = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=40))
-        search_all(engine, accel, problems, engine.solve(accel, problems))
-        # Warm: only the never-cached infeasible tops are scored again.
+        assert engine._solved.keys() == set(keys)
+        assert {outcome[1:] for outcome in engine._solved.values()} == {("scalar", False)}
+        assert engine.cache.stats["misses"] == 0
+        outcomes = search_all(engine, accel, problems, keys)
+        alone = MappingSearchEngine(config)
+        assert outcomes == search_all(alone, accel, problems, [None] * len(problems))
+        assert engine.cache.stats == alone.cache.stats
+        assert list(engine.cache.snapshot()) == list(alone.cache.snapshot())
+        assert (
+            engine.cache.save(tmp_path / "solved.json").read_bytes()
+            == alone.cache.save(tmp_path / "alone.json").read_bytes()
+        )
         engine.solve(accel, problems)
-        assert engine._solved
-        assert all(best is None for best, _, _ in engine._solved.values())
+        assert not engine._solved
 
     def test_solve_groups_by_signature_and_caps_rows(self, monkeypatch):
         monkeypatch.setattr(loma, "GROUP_ROWS", 100)
@@ -371,25 +389,6 @@ class TestSolve:
         solved = self.run(accel, problems, solve=True)
         assert solved[:3] == plain[:3]
         assert max(solved[3]) <= 100
-
-    def test_infeasible_problems_hold_their_raised_tops(self):
-        """solve follows the fallback chain, so the raised tops a failed
-        search tries next are scored in the same grouped calls."""
-        accel = get_accelerator("meta_proto_like_df")
-        dram = accel.top_level_index("O")
-        problems = [(lyr, t) for lyr, t in zoo_problems(accel) if t["O"] != dram]
-        engine = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=40))
-        keys = engine.solve(accel, problems)
-        infeasible = [
-            (layer, tops)
-            for (layer, tops), key in zip(problems, keys)
-            if engine._solved[key][0] is None
-        ]
-        assert infeasible
-        for layer, tops in infeasible:
-            raised = loma.raised_tops(accel, tops)[0]
-            key = loma.normalize_key(engine.cache_key(layer, accel, raised))
-            assert key in engine._solved
 
     def test_problems_past_exact_floats_run_on_the_scalar_engine(self, monkeypatch):
         """A solved problem whose loop volume passes 2**53 is searched on
@@ -419,3 +418,112 @@ class TestSolve:
             ).search(layer, accel, tops)
             found = engine.search(layer, accel, tops, key=key)
             assert encode_search_result(found) == encode_search_result(reference)
+
+
+#: resnet18 at 240x72 fully_recompute on meta_proto_like_df: some of its
+#: layer-tiles have no mapping at their planned tops and are searched
+#: again at raised tops.
+RAISING = DFStrategy(tile_x=240, tile_y=72, mode=OverlapMode.FULLY_RECOMPUTE)
+
+#: Each engine's config and the ``(engine, fell_back)`` label it gives
+#: every search; "fallback" forces the kernel to raise BatchFallback.
+ENGINES = {
+    "batch": (SearchConfig(lpf_limit=5, budget=40), ("batch", False)),
+    "scalar": (SearchConfig(lpf_limit=5, budget=40, engine="scalar"), ("scalar", False)),
+    "fallback": (SearchConfig(lpf_limit=5, budget=40), ("scalar", True)),
+}
+
+
+def scoring_spy(monkeypatch):
+    """Record every problem the engines score, as ``(layer token,
+    tops, engine, fell_back)``."""
+    scored = []
+    score = MappingSearchEngine._score
+
+    def spy(self, accel, tops, members, objective):
+        results = score(self, accel, tops, members, objective)
+        top = tuple(sorted(tops.items()))
+        scored.extend(
+            (layer.cache_token(), top, *result[1:])
+            for (layer, _, _), result in zip(members, results)
+        )
+        return results
+
+    monkeypatch.setattr(MappingSearchEngine, "_score", spy)
+    return scored
+
+
+def searched(how, config, accel, problems, scored):
+    """Search every problem on a fresh engine: one search per attempt
+    ("alone"), ``solve`` then ``search_each``, or ``search_all``.
+    Returns the results, the search counters, what was scored, and the
+    cache's statistics and entries in order."""
+    engine = MappingSearchEngine(config)
+    scored.clear()
+    obs.enable()
+    try:
+        if how == "alone":
+            outcomes = search_all(engine, accel, problems, [None] * len(problems))
+            found = [o for o in outcomes if not isinstance(o, str)]
+        elif how == "solve":
+            keys = engine.solve(accel, problems)
+            found = list(map(encode_search_result, engine.search_each(accel, problems, keys)))
+            engine.drop_solved()
+        else:
+            found = list(map(encode_search_result, engine.search_all(accel, problems)))
+        registry = obs.metrics()
+        counters = {
+            "searches": registry.value("loma_searches_total"),
+            "batch": registry.value("loma_engine_dispatch_total", engine="batch"),
+            "scalar": registry.value("loma_engine_dispatch_total", engine="scalar"),
+            "fallbacks": registry.value("loma_batch_fallbacks_total"),
+            "orderings": registry.value("loma_orderings_evaluated_total"),
+        }
+    finally:
+        obs.reset()
+    cache = [(key, encode_search_result(v)) for key, v in engine.cache.snapshot().items()]
+    return found, counters, sorted(scored), engine.cache.stats, cache
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_every_search_path_scores_alike(kind, monkeypatch):
+    """A lone search per attempt, solve + search_each and search_all
+    give the same results, engine labels, fallback flags and cache
+    state, each problem (raised tops included) scored once; and two
+    ``Executor.run`` calls of the evaluation score each problem once."""
+    config, label = ENGINES[kind]
+    if kind == "fallback":
+
+        def fall_back(*args):
+            raise BatchFallback("forced")
+
+        monkeypatch.setattr(loma, "evaluate_candidates", fall_back)
+    accel = get_accelerator("meta_proto_like_df")
+    workload = get_workload("resnet18")
+    plans = scheduler.DepthFirstEngine(accel, config).plan(workload, RAISING)
+    problems = [(layer, tops) for layer, tops, _ in scheduler._searches(plans)]
+    planned = {(layer.cache_token(), tuple(sorted(tops.items()))) for layer, tops in problems}
+    scored = scoring_spy(monkeypatch)
+
+    alone, solved, together = (
+        searched(how, config, accel, problems, scored)
+        for how in ("alone", "solve", "all")
+    )
+    assert solved == alone and together == alone
+    found, counters, scored_once, _, _ = alone
+    assert len(found) == len(problems)
+    assert counters[label[0]] == counters["searches"] >= len(scored_once)
+    assert counters["fallbacks"] == (counters["searches"] if label[1] else 0)
+    assert {entry[2:] for entry in scored_once} == {label}
+    problems_scored = [entry[:2] for entry in scored_once]
+    assert len(set(problems_scored)) == len(problems_scored)
+    assert set(problems_scored) > planned  # the raised tops are scored
+
+    scored.clear()
+    executor = Executor(search_config=config)
+    job = EvalJob(accelerator="meta_proto_like_df", workload="resnet18", strategy=RAISING)
+    (first,) = executor.run([job])
+    assert sorted(scored) == scored_once
+    (second,) = executor.run([job])
+    assert sorted(scored) == scored_once
+    assert repr(second.result.total) == repr(first.result.total)

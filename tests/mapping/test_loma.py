@@ -72,22 +72,22 @@ class TestCaching:
     def test_cache_hit_returns_same_object(self, accel):
         engine = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=50))
         a = engine.search(layer(), accel)
-        before = engine.cache_size
+        before = len(engine.cache)
         b = engine.search(layer(), accel)
         assert a is b
-        assert engine.cache_size == before
+        assert len(engine.cache) == before
 
     def test_different_tops_cached_separately(self, accel):
         engine = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=50))
         engine.search(layer(), accel)
         engine.search(layer(), accel, tops={"W": 1, "I": 0, "O": 1})
-        assert engine.cache_size == 2
+        assert len(engine.cache) == 2
 
     def test_clear_cache(self, accel):
         engine = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=50))
         engine.search(layer(), accel)
-        engine.clear_cache()
-        assert engine.cache_size == 0
+        engine.cache.clear()
+        assert len(engine.cache) == 0
 
 
 class TestCacheKey:
