@@ -312,10 +312,10 @@ class MappingCache:
         The write is crash- and concurrency-safe: the payload lands in a
         process-unique temp file first and is moved into place with
         ``os.replace`` (:func:`repro.atomic.write_text`), so readers
-        never observe a torn file.  With
-        ``merge`` (the default), entries already on disk that this cache
-        does not know are adopted before writing, and the whole
-        read-merge-write runs under an exclusive inter-process lock (a
+        never observe a torn file.  With ``merge`` (the default),
+        entries already on disk that this cache does not know are
+        adopted before writing, and the whole read-merge-write runs
+        under an exclusive inter-process lock (a
         ``.lock`` sibling file) — two processes saving to the same path
         therefore never lose each other's results (this cache's own
         entry wins when both hold the same key).  Adopted entries rank

@@ -467,7 +467,8 @@ def searched(how, config, accel, problems, scored):
             found = [o for o in outcomes if not isinstance(o, str)]
         elif how == "solve":
             keys = engine.solve(accel, problems)
-            found = list(map(encode_search_result, engine.search_each(accel, problems, keys)))
+            results = engine.search_each(accel, problems, keys)
+            found = list(map(encode_search_result, results))
             engine.drop_solved()
         else:
             found = list(map(encode_search_result, engine.search_all(accel, problems)))
@@ -481,7 +482,7 @@ def searched(how, config, accel, problems, scored):
         }
     finally:
         obs.reset()
-    cache = [(key, encode_search_result(v)) for key, v in engine.cache.snapshot().items()]
+    cache = [(k, encode_search_result(v)) for k, v in engine.cache.snapshot().items()]
     return found, counters, sorted(scored), engine.cache.stats, cache
 
 
@@ -502,7 +503,9 @@ def test_every_search_path_scores_alike(kind, monkeypatch):
     workload = get_workload("resnet18")
     plans = scheduler.DepthFirstEngine(accel, config).plan(workload, RAISING)
     problems = [(layer, tops) for layer, tops, _ in scheduler._searches(plans)]
-    planned = {(layer.cache_token(), tuple(sorted(tops.items()))) for layer, tops in problems}
+    planned = {
+        (layer.cache_token(), tuple(sorted(tops.items()))) for layer, tops in problems
+    }
     scored = scoring_spy(monkeypatch)
 
     alone, solved, together = (
@@ -521,7 +524,9 @@ def test_every_search_path_scores_alike(kind, monkeypatch):
 
     scored.clear()
     executor = Executor(search_config=config)
-    job = EvalJob(accelerator="meta_proto_like_df", workload="resnet18", strategy=RAISING)
+    job = EvalJob(
+        accelerator="meta_proto_like_df", workload="resnet18", strategy=RAISING
+    )
     (first,) = executor.run([job])
     assert sorted(scored) == scored_once
     (second,) = executor.run([job])
